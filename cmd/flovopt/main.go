@@ -10,8 +10,12 @@
 //	flovopt -mech all -gated 0,0.25,0.5 -rate 0.02,0.08        # grid flags
 //	flovopt -spec search.json -format json -out front.json      # JSON spec
 //	flovopt -strategy anneal -generations 12 -population 24
-//	flovopt -run-dir runs/a -resume                             # replay durable rows
 //	flovopt -plot                                               # ASCII front scatter
+//
+// Every evaluation is cached as it completes, so an interrupted search
+// resumes by re-running it with the same -cache-dir: the deterministic
+// loop replays, cached candidates answer from disk, and only the
+// candidates never finished simulate.
 //
 // Progress goes to stderr; the front goes to -out (default stdout) as
 // CSV or JSON.
@@ -53,17 +57,11 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "result cache directory (default $FLOV_SWEEP_CACHE or the user cache dir)")
 	noCache := flag.Bool("no-cache", false, "disable the result cache")
-	runDir := flag.String("run-dir", "", "run directory: finished evaluations append to <dir>/evals.ndjson, surviving interruption")
-	resume := flag.Bool("resume", false, "with -run-dir: replay evaluations already durable from an interrupted run")
 	format := flag.String("format", "csv", "output format: csv|json")
 	out := flag.String("out", "", "output file (default stdout)")
 	plot := flag.Bool("plot", false, "render the front as an ASCII scatter on stderr")
 	quiet := flag.Bool("quiet", false, "suppress the per-generation progress ticker")
 	flag.Parse()
-
-	if *resume && *runDir == "" {
-		fatal(fmt.Errorf("-resume requires -run-dir"))
-	}
 
 	spec, err := buildSpec(*specPath, *objectives, *strategy, *generations, *population, *seed,
 		*widths, *heights, *vcs, *buffers, *mechs, *wakeups, *fracs, *rates, *patterns,
@@ -85,12 +83,7 @@ func main() {
 		}
 	}
 
-	opts := opt.Options{
-		Workers: *workers,
-		Cache:   cache,
-		RunDir:  *runDir,
-		Resume:  *resume,
-	}
+	opts := opt.Options{Workers: *workers, Cache: cache}
 	if !*quiet {
 		opts.Progress = func(ev opt.Event) {
 			fmt.Fprintf(os.Stderr, "gen %d/%d: %d asked, %d simulated (%d cached), %d reused, front=%d\n",

@@ -11,6 +11,10 @@
 //	flovsweep -spec sweep.json -format json -out rows.json
 //	flovsweep -clear-cache                               # drop every cached result
 //
+// Every finished point is cached the moment it completes, so an
+// interrupted sweep resumes by re-running it with the same -cache-dir:
+// only the points that never finished simulate again.
+//
 // Cache and timing stats go to stderr; rows go to -out (default stdout)
 // as CSV or JSON. The JSON row schema is shared with `flovsim -json`.
 package main
@@ -22,10 +26,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -57,16 +59,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the per-job progress ticker")
 	server := flag.String("server", "", "delegate the sweep to a running flovd at this base URL (cache flags then apply server-side)")
-	runDir := flag.String("run-dir", "", "run directory: finished rows append to <dir>/rows.ndjson as they complete, surviving interruption")
-	resume := flag.Bool("resume", false, "with -run-dir: skip points whose rows are already durable from an interrupted run")
 	flag.Parse()
-
-	if *resume && *runDir == "" {
-		fatal(fmt.Errorf("-resume requires -run-dir"))
-	}
-	if *runDir != "" && *server != "" {
-		fatal(fmt.Errorf("-run-dir is local-only; flovd owns persistence for delegated sweeps"))
-	}
 
 	if *server != "" {
 		if *clearCache {
@@ -113,46 +106,9 @@ func main() {
 		fatal(fmt.Errorf("spec expands to zero jobs"))
 	}
 
-	// Run-directory persistence: load durable rows from an interrupted
-	// run, skip their points, and append new rows as they complete.
-	loaded := map[string]sweep.Result{}
-	var recorder *rowRecorder
-	if *runDir != "" {
-		if err := os.MkdirAll(*runDir, 0o755); err != nil {
-			fatal(err)
-		}
-		rowsPath := filepath.Join(*runDir, "rows.ndjson")
-		if *resume {
-			loaded = loadRows(rowsPath)
-		}
-		if recorder, err = newRowRecorder(rowsPath, *resume); err != nil {
-			fatal(err)
-		}
-	}
-	var pendingIdx []int
-	pending := make([]sweep.Job, 0, len(jobs))
-	for i, j := range jobs {
-		if _, ok := loaded[j.Hash()]; !ok {
-			pendingIdx = append(pendingIdx, i)
-			pending = append(pending, j)
-		}
-	}
-	reused := len(jobs) - len(pending)
-	if *resume {
-		fmt.Fprintf(os.Stderr, "resume: reused %d of %d rows from %s\n",
-			reused, len(jobs), filepath.Join(*runDir, "rows.ndjson"))
-	}
-
 	engine := &sweep.Engine{Workers: *workers, Cache: cache}
-	var observers multiProgress
 	if !*quiet {
-		observers = append(observers, sweep.NewReporter(os.Stderr))
-	}
-	if recorder != nil {
-		observers = append(observers, recorder)
-	}
-	if len(observers) > 0 {
-		engine.Progress = observers
+		engine.Progress = sweep.NewReporter(os.Stderr)
 	}
 
 	// SIGINT stops scheduling new points; finished points still print.
@@ -160,21 +116,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	fresh := engine.Run(ctx, pending)
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	results := make([]sweep.Result, len(jobs))
-	for i, j := range jobs {
-		if r, ok := loaded[j.Hash()]; ok {
-			results[i] = r
-		}
-	}
-	for k, i := range pendingIdx {
-		results[i] = fresh[k]
-	}
+	results := engine.Run(ctx, jobs)
 	stats := sweep.Summarize(results, time.Since(start))
 
 	if err := writeRows(results, *format, *out); err != nil {
@@ -188,85 +130,6 @@ func main() {
 			cache.Dir(), hits, misses, writes)
 	}
 	exitOnFailures(results, stats.Errors)
-}
-
-// multiProgress fans engine events out to several observers.
-type multiProgress []sweep.Progress
-
-// Event implements sweep.Progress.
-func (m multiProgress) Event(ev sweep.Event) {
-	for _, p := range m {
-		p.Event(ev)
-	}
-}
-
-// rowRecorder appends finished rows to rows.ndjson as they complete, so
-// an interrupted sweep keeps everything simulated so far. Error rows are
-// not persisted: a resume should retry them, not immortalize them.
-type rowRecorder struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
-}
-
-// newRowRecorder opens the row log, truncating for fresh runs and
-// appending when resuming.
-func newRowRecorder(path string, appendMode bool) (*rowRecorder, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	if appendMode {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &rowRecorder{f: f, enc: json.NewEncoder(f)}, nil
-}
-
-// Event implements sweep.Progress; called from worker goroutines.
-func (r *rowRecorder) Event(ev sweep.Event) {
-	if ev.Result == nil || ev.Result.Err != "" {
-		return
-	}
-	if ev.Type != sweep.JobDone && ev.Type != sweep.JobCacheHit {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Row persistence is best-effort, like cache fills: a full disk must
-	// not kill the sweep producing the rows.
-	_ = r.enc.Encode(ev.Result)
-}
-
-// Close flushes and closes the row log.
-func (r *rowRecorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.f.Close()
-}
-
-// loadRows reads durable rows from an interrupted run, keyed by job
-// hash. Unparseable lines (a torn tail from a crash mid-write) and
-// error-carrying rows are skipped; their points re-simulate.
-func loadRows(path string) map[string]sweep.Result {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	rows := map[string]sweep.Result{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var r sweep.Result
-		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Err != "" {
-			continue
-		}
-		rows[r.Job.Hash()] = r
-	}
-	return rows
 }
 
 // runRemote delegates the sweep to a flovd daemon: same spec, same

@@ -93,7 +93,6 @@ func Analyzers() []*Analyzer {
 		NondetAnalyzer,
 		MapRangeAnalyzer,
 		FloatCmpAnalyzer,
-		CopyLockAnalyzer,
 		ErrCheckAnalyzer,
 		ExhaustiveAnalyzer,
 		LockSafeAnalyzer,

@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -245,6 +246,53 @@ func TestDiscoverSkipsTestdata(t *testing.T) {
 		if !seen[must] {
 			t.Errorf("Discover missed %s (got %d packages)", must, len(paths))
 		}
+	}
+}
+
+// TestDiscoverStopsAtNestedModules: a subdirectory with its own go.mod
+// is a separate module, so ./... must not list its packages, exactly
+// as the go command does.
+func TestDiscoverStopsAtNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":             "module example.com/outer\n",
+		"a/a.go":             "package a\n",
+		"inner/go.mod":       "module example.com/inner\n",
+		"inner/inner.go":     "package inner\n",
+		"inner/sub/sub.go":   "package sub\n",
+		"plain/sub/plain.go": "package sub\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"./...", "./inner/..."} {
+		paths, err := loader.Discover([]string{pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			if strings.Contains(p, "inner") {
+				t.Errorf("%s listed nested-module package %s", pattern, p)
+			}
+		}
+	}
+	paths, err := loader.Discover([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"example.com/outer/a", "example.com/outer/plain/sub"}
+	if !reflect.DeepEqual(paths, want) {
+		t.Errorf("./... = %v, want %v", paths, want)
 	}
 }
 

@@ -279,7 +279,8 @@ func (l *Loader) Discover(patterns []string) ([]string, error) {
 }
 
 // walkModule lists every buildable package directory in the module,
-// skipping testdata, hidden and vendor directories.
+// skipping testdata, hidden and vendor directories and, like the go
+// command, any subdirectory with its own go.mod (a nested module).
 func (l *Loader) walkModule() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
@@ -292,6 +293,11 @@ func (l *Loader) walkModule() ([]string, error) {
 		name := d.Name()
 		if p != l.ModuleRoot && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if p != l.ModuleRoot {
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		names, err := l.sourceFiles(p)
 		if err != nil || len(names) == 0 {

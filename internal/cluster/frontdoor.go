@@ -25,10 +25,6 @@ import (
 // deliberately lossy across restarts: forgetting a bucket briefly
 // over-admits, never corrupts.
 
-// maxSpecBytes bounds a submitted spec body, mirroring the single-node
-// daemon's limit.
-const maxSpecBytes = 1 << 20
-
 // ErrQuotaExceeded reports a tenant at its unfinished-job quota.
 var ErrQuotaExceeded = errors.New("cluster: tenant quota exceeded")
 
@@ -240,7 +236,7 @@ func (f *FrontDoor) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
-	points, err := readSpec(r)
+	points, err := sweep.ReadJobs(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -438,28 +434,4 @@ func (f *FrontDoor) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = io.WriteString(w, b.String())
-}
-
-// readSpec parses and expands the request body into a point list,
-// mirroring the single-node daemon's admission parsing.
-func readSpec(r *http.Request) ([]sweep.Job, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	if len(data) > maxSpecBytes {
-		return nil, fmt.Errorf("spec larger than %d bytes", maxSpecBytes)
-	}
-	var spec sweep.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("parse spec: %w", err)
-	}
-	points, err := spec.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, errors.New("spec expands to zero jobs")
-	}
-	return points, nil
 }

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -92,23 +90,11 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// SpecHash is the cluster-wide identity of a point list, identical to
-// the single-node daemon's dedup key: the hash of the expanded point
-// hashes, so two spellings of the same grid coincide.
-func SpecHash(points []sweep.Job) string {
-	h := sha256.New()
-	for _, p := range points {
-		// hash.Hash.Write never returns an error.
-		_, _ = fmt.Fprintf(h, "%s\n", p.Hash())
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // JobID derives the job id from a point list. Content-addressed: the
 // same spec is the same job cluster-wide, which makes submission
 // idempotent and dedups identical concurrent submissions for free.
 func JobID(points []sweep.Job) string {
-	return "j" + SpecHash(points)[:16]
+	return "j" + sweep.PointsHash(points)[:16]
 }
 
 func (s *Store) jobPath(id string) string     { return filepath.Join(s.dir, "jobs", id+".json") }
@@ -177,7 +163,7 @@ func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
 		rec.ID = JobID(rec.Points)
 	}
 	if rec.SpecHash == "" {
-		rec.SpecHash = SpecHash(rec.Points)
+		rec.SpecHash = sweep.PointsHash(rec.Points)
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flov/internal/sweep"
 )
 
 func TestSubmitIdempotent(t *testing.T) {
@@ -18,7 +20,7 @@ func TestSubmitIdempotent(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("first submit: created=%v err=%v", created, err)
 	}
-	if rec.ID != JobID(points) || rec.SpecHash != SpecHash(points) {
+	if rec.ID != JobID(points) || rec.SpecHash != sweep.PointsHash(points) {
 		t.Fatalf("identity not derived: %+v", rec)
 	}
 

@@ -20,7 +20,8 @@
 //
 // Everything is a pure function of the Spec: the same spec and seed
 // produce byte-identical fronts across processes, which is what makes
-// resumable runs (run-dir row replay) and cached re-runs sound.
+// resuming an interrupted run (re-running it against the same result
+// cache) sound.
 package opt
 
 import (

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -25,24 +23,21 @@ const (
 )
 
 // Options configures a Run's execution environment (everything that is
-// not part of the search identity: worker count, caching, persistence,
-// progress). None of it may change the front a spec produces.
+// not part of the search identity: worker count, caching, progress).
+// None of it may change the front a spec produces.
 type Options struct {
 	// Workers is the sweep.Engine pool size (<= 0 means GOMAXPROCS).
 	Workers int
-	// Cache, when non-nil, memoizes candidate results on disk; re-runs
-	// of an archived spec then simulate nothing.
+	// Cache, when non-nil, memoizes candidate results on disk as each
+	// evaluation completes. It is also how an interrupted search resumes:
+	// re-running the spec against the same cache replays the
+	// deterministic loop and simulates only the candidates never
+	// finished. Job hashes do not depend on the objective list, so cached
+	// rows re-score under changed objectives.
 	Cache *sweep.Cache
 	// WarmStart enables snapshot forking for candidates sharing a
 	// warmup prefix (needs Cache).
 	WarmStart bool
-	// RunDir, when set, persists every evaluated candidate to
-	// <dir>/evals.ndjson as it completes; with Resume, rows already
-	// durable there are replayed instead of re-simulated, exactly like
-	// flovsweep -run-dir/-resume.
-	RunDir string
-	// Resume replays durable rows from RunDir.
-	Resume bool
 	// Progress, when non-nil, receives one Event per finished
 	// generation.
 	Progress func(Event)
@@ -57,7 +52,8 @@ type Event struct {
 	Asked int `json:"asked"`
 	// Simulated counts candidates that went through the engine
 	// (including disk-cache hits); Reused counts candidates answered
-	// from the in-memory memo or replayed run-dir rows.
+	// without the engine: genomes memoized from an earlier generation
+	// and duplicates within this one.
 	Simulated int `json:"simulated"`
 	Reused    int `json:"reused"`
 	// CacheHits counts engine evaluations served from the disk cache.
@@ -81,9 +77,11 @@ type Outcome struct {
 	Generations int `json:"generations"`
 	Asked       int `json:"asked"`
 	Simulated   int `json:"simulated"`
-	Reused      int `json:"reused"`
-	CacheHits   int `json:"cache_hits"`
-	Infeasible  int `json:"infeasible"`
+	// Reused counts memo and in-generation duplicate answers, as in
+	// Event; disk-cache hits count under Simulated and CacheHits.
+	Reused     int `json:"reused"`
+	CacheHits  int `json:"cache_hits"`
+	Infeasible int `json:"infeasible"`
 	// Front is the final non-dominated set in canonical order.
 	Front []Point `json:"front"`
 }
@@ -197,7 +195,7 @@ func genomeKey(g []int) string {
 // Run executes the optimizer: Generations rounds of propose → evaluate
 // (through sweep.Engine) → absorb. The returned Outcome is a pure
 // function of the spec; Options only change where results come from
-// (cache, run-dir replay) and how fast. On context cancellation the
+// (simulation or cache) and how fast. On context cancellation the
 // partial outcome so far is returned together with the context error.
 func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 	spec = spec.withDefaults()
@@ -212,26 +210,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 	strat, err := NewStrategy(spec.Strategy, sp.sizes())
 	if err != nil {
 		return Outcome{}, err
-	}
-
-	durable := map[string]network.Results{}
-	var rec *evalRecorder
-	if opts.RunDir != "" {
-		if err := os.MkdirAll(opts.RunDir, 0o755); err != nil {
-			return Outcome{}, err
-		}
-		path := filepath.Join(opts.RunDir, "evals.ndjson")
-		if opts.Resume {
-			durable = loadEvalRows(path)
-		}
-		if rec, err = newEvalRecorder(path, opts.Resume); err != nil {
-			return Outcome{}, err
-		}
-		defer func() {
-			// The recorder is append-per-row; Close only releases the fd,
-			// so a close error cannot lose rows already durable.
-			_ = rec.Close()
-		}()
 	}
 
 	engine := &sweep.Engine{Workers: opts.Workers, Cache: opts.Cache, WarmStart: opts.WarmStart}
@@ -270,15 +248,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 				continue
 			}
 			firstAt[key] = i
-			job := sp.job(spec, g)
-			if res, ok := durable[job.Hash()]; ok {
-				e := r.score(job, sweep.Result{Job: job, Res: res})
-				evals[i] = e
-				r.memo[key] = e
-				ev.Reused++
-				continue
-			}
-			pending = append(pending, job)
+			pending = append(pending, sp.job(spec, g))
 			pendingIdx = append(pendingIdx, i)
 		}
 
@@ -298,9 +268,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 			}
 			if !e.feasible {
 				ev.Infeasible++
-			}
-			if rec != nil && e.feasible {
-				rec.record(gen, genomes[idx], e.hash, e.res)
 			}
 		}
 		for _, d := range dupIdx {
@@ -322,67 +289,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 	}
 	out.Front = r.archive.Front()
 	return out, nil
-}
-
-// evalRow is the durable NDJSON form of one finished evaluation. The
-// full Results are persisted (not just the scores) so a resumed run can
-// re-score rows under a changed objective list.
-type evalRow struct {
-	Gen    int             `json:"gen"`
-	Genome []int           `json:"genome"`
-	Hash   string          `json:"hash"`
-	Res    network.Results `json:"res"`
-}
-
-// evalRecorder appends finished evaluations to evals.ndjson. Failed
-// candidates are not persisted: a resume should retry them.
-type evalRecorder struct {
-	f   *os.File
-	enc *json.Encoder
-}
-
-func newEvalRecorder(path string, appendMode bool) (*evalRecorder, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	if appendMode {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &evalRecorder{f: f, enc: json.NewEncoder(f)}, nil
-}
-
-// record persists one row; like sweep cache fills it is best-effort — a
-// full disk must not kill the search producing the rows.
-func (r *evalRecorder) record(gen int, genome []int, hash string, res network.Results) {
-	_ = r.enc.Encode(evalRow{Gen: gen, Genome: genome, Hash: hash, Res: res})
-}
-
-func (r *evalRecorder) Close() error { return r.f.Close() }
-
-// loadEvalRows reads durable rows keyed by job hash. Unparseable lines
-// (a torn tail from a crash mid-write) are skipped; their candidates
-// re-simulate.
-func loadEvalRows(path string) map[string]network.Results {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return map[string]network.Results{}
-	}
-	rows := map[string]network.Results{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var row evalRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil || row.Hash == "" {
-			continue
-		}
-		rows[row.Hash] = row.Res
-	}
-	return rows
 }
 
 // FrontCSV renders the front as CSV: one row per point, the decoded

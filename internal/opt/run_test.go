@@ -3,8 +3,6 @@ package opt
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"flov/internal/sweep"
@@ -110,42 +108,59 @@ func TestRunCacheHitsOnRerun(t *testing.T) {
 	}
 }
 
-// TestRunResume interrupts nothing but replays a finished run-dir and
-// checks the resume simulates zero points yet reproduces the front.
+// TestRunResume cancels a search after its first generation, then
+// re-runs it against the same cache: the resumed front must be
+// byte-identical to an uninterrupted cache-less run, and every
+// candidate the interrupted run simulated must come back from disk.
 func TestRunResume(t *testing.T) {
-	dir := t.TempDir()
 	spec := tinySpec("anneal")
-	first := mustRun(t, spec, Options{RunDir: dir})
-	if first.Simulated == 0 {
-		t.Fatal("first run simulated nothing")
-	}
+	full := mustRun(t, spec, Options{})
 
-	// A torn tail (crash mid-append) must not poison the replay.
-	path := filepath.Join(dir, "evals.ndjson")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	cache, err := sweep.NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"gen": 99, "genome": [0], "hash": "tru`); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	interrupted, err := Run(ctx, spec, Options{Cache: cache, Progress: func(ev Event) {
+		if ev.Gen == 0 {
+			cancel()
+		}
+	}})
+	if err == nil {
+		t.Fatal("interrupted run reported no error")
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	if interrupted.Generations != 1 || interrupted.Simulated == 0 {
+		t.Fatalf("interrupted run: %d generations, %d simulated; want 1 generation with work",
+			interrupted.Generations, interrupted.Simulated)
 	}
 
-	resumed := mustRun(t, spec, Options{RunDir: dir, Resume: true})
-	if resumed.Simulated != 0 {
-		t.Fatalf("resume simulated %d points, want 0 (all rows durable)", resumed.Simulated)
+	resumed := mustRun(t, spec, Options{Cache: cache})
+	// Failed evaluations are never cached, so they re-simulate.
+	if want := interrupted.Simulated - interrupted.Infeasible; resumed.CacheHits != want {
+		t.Fatalf("resume: %d cache hits, want %d (every candidate the interrupted run finished)",
+			resumed.CacheHits, want)
 	}
-	var a, b bytes.Buffer
-	if err := first.FrontCSV(&a); err != nil {
-		t.Fatal(err)
+	if resumed.Simulated != full.Simulated {
+		t.Fatalf("resume evaluated %d candidates, uninterrupted run %d", resumed.Simulated, full.Simulated)
 	}
-	if err := resumed.FrontCSV(&b); err != nil {
-		t.Fatal(err)
+	// The disk-hit count is the one execution detail the JSON outcome
+	// carries; everything else, the front included, must match.
+	resumed.CacheHits = full.CacheHits
+	var csvA, csvB, jsonA, jsonB bytes.Buffer
+	for _, err := range []error{
+		full.FrontCSV(&csvA), resumed.FrontCSV(&csvB),
+		full.FrontJSON(&jsonA), resumed.FrontJSON(&jsonB),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("resumed front differs:\n%s\nvs\n%s", a.String(), b.String())
+	if !bytes.Equal(csvA.Bytes(), csvB.Bytes()) {
+		t.Fatalf("resumed CSV front differs:\n%s\nvs\n%s", csvA.String(), csvB.String())
+	}
+	if !bytes.Equal(jsonA.Bytes(), jsonB.Bytes()) {
+		t.Fatal("resumed JSON front differs")
 	}
 }
 

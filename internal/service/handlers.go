@@ -15,10 +15,6 @@ import (
 	"flov/internal/sweep"
 )
 
-// maxSpecBytes bounds a submitted spec body; real specs are a few
-// hundred bytes, so 1 MiB is generous and still DoS-safe.
-const maxSpecBytes = 1 << 20
-
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/sweeps            submit a spec, return immediately (202)
@@ -95,29 +91,6 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorBody{Error: msg})
 }
 
-// readSpec parses and expands the request body into a point list.
-func readSpec(r *http.Request) ([]sweep.Job, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	if len(data) > maxSpecBytes {
-		return nil, fmt.Errorf("spec larger than %d bytes", maxSpecBytes)
-	}
-	var spec sweep.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("parse spec: %w", err)
-	}
-	points, err := spec.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, errors.New("spec expands to zero jobs")
-	}
-	return points, nil
-}
-
 // submitStatus maps a submission error to its HTTP status.
 func submitStatus(err error) int {
 	switch {
@@ -146,7 +119,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 // handleSubmit is the fire-and-forget path: admit and answer 202 with
 // the job id; the job runs to completion server-side.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	points, err := readSpec(r)
+	points, err := sweep.ReadJobs(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -166,7 +139,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // drops this submitter's reference; when no other submitter or owner
 // remains, the job cancels and its queue slot frees.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	points, err := readSpec(r)
+	points, err := sweep.ReadJobs(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

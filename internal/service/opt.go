@@ -2,11 +2,10 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 
 	"flov/internal/opt"
+	"flov/internal/sweep"
 )
 
 // OptStreamLine is one NDJSON line of the POST /v1/opt/run stream:
@@ -30,13 +29,9 @@ func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	data, err := sweep.ReadSpecBody(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
-		return
-	}
-	if len(data) > maxSpecBytes {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("spec larger than %d bytes", maxSpecBytes))
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	spec, err := opt.ParseSpec(data)

@@ -13,8 +13,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -202,24 +200,13 @@ func (s *Server) log(format string, args ...any) {
 	s.events.Addf(time.Now().UnixMilli(), nlog.KService, -1, format, args...)
 }
 
-// specHash is the dedup identity of a submission: the hash of its
-// expanded point hashes, so two spellings of the same grid coincide.
-func specHash(points []sweep.Job) string {
-	h := sha256.New()
-	for _, p := range points {
-		// hash.Hash.Write never returns an error.
-		_, _ = fmt.Fprintf(h, "%s\n", p.Hash())
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // submit admits a spec's expanded points. owned marks fire-and-forget
 // submissions that must run to completion regardless of client
 // lifetime; !owned submissions hold a reference that release() drops.
 // Identical in-flight jobs are shared (deduped=true) instead of
 // enqueued twice.
 func (s *Server) submit(points []sweep.Job, owned bool) (j *job, deduped bool, err error) {
-	h := specHash(points)
+	h := sweep.PointsHash(points)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -199,6 +201,65 @@ func TestEngineCacheSecondRunAllHits(t *testing.T) {
 	}
 	if !mixed[1].CacheHit {
 		t.Fatal("unchanged job was re-simulated")
+	}
+}
+
+// TestEngineResumeThroughCache pins the only resume path: a sweep
+// cancelled after k points re-runs against the same cache directory,
+// simulates exactly the points the first run never finished, and
+// renders JSON rows byte-identical to an uninterrupted cache-less run.
+func TestEngineResumeThroughCache(t *testing.T) {
+	const k = 3
+	dir := t.TempDir()
+	jobs := testGrid()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var done int
+	interrupted := (&Engine{Workers: 1, Cache: c, Progress: progressFunc(func(ev Event) {
+		if ev.Type == JobDone {
+			if done++; done == k {
+				cancel()
+			}
+		}
+	})}).Run(ctx, jobs)
+	finished := 0
+	for _, r := range interrupted {
+		if r.Err == "" {
+			finished++
+		}
+	}
+	// One point may already be handed to the worker when cancel lands.
+	if finished < k || finished >= len(jobs) {
+		t.Fatalf("interrupted run finished %d of %d points, want %d or %d", finished, len(jobs), k, k+1)
+	}
+
+	// A fresh handle on the same directory, as a re-run process gets.
+	c, err = NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := (&Engine{Workers: 2, Cache: c}).Run(context.Background(), jobs)
+	hits, misses, _ := c.Counters()
+	if misses != int64(len(jobs)-finished) || hits != int64(finished) {
+		t.Fatalf("resume: %d hits, %d misses; want %d hits, %d misses",
+			hits, misses, finished, len(jobs)-finished)
+	}
+
+	reference := (&Engine{Workers: 1}).Run(context.Background(), jobs)
+	want, err := json.Marshal(reference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed rows differ from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,6 +166,37 @@ func TestSpecExpansion(t *testing.T) {
 	for _, j := range jobs {
 		if j.Config.Width != 4 || j.Config.TotalCycles != 4000 || j.Config.Seed != 3 {
 			t.Fatalf("overrides not applied: %+v", j.Config)
+		}
+	}
+}
+
+// TestReadJobs pins the submission decoder both serving planes share:
+// bounded body, wrapped parse errors, and a point-list identity under
+// which two spellings of the same grid coincide.
+func TestReadJobs(t *testing.T) {
+	terse, err := ReadJobs(strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled, err := ReadJobs(strings.NewReader(
+		`{"patterns":["uniform"],"rates":[0.02],"gated_fractions":[0.5],"mechanisms":["all"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if PointsHash(terse) != PointsHash(spelled) {
+		t.Error("two spellings of one grid hash differently")
+	}
+	if PointsHash(terse[:1]) == PointsHash(terse) {
+		t.Error("different point lists share a hash")
+	}
+
+	for body, want := range map[string]string{
+		`{"rates":`:                         "parse spec: ",
+		`{"mechanisms":["x"]}`:              "unknown mechanism",
+		strings.Repeat(" ", MaxSpecBytes+1): fmt.Sprintf("spec larger than %d bytes", MaxSpecBytes),
+	} {
+		if _, err := ReadJobs(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadJobs(%.20q) = %v, want error containing %q", body, err, want)
 		}
 	}
 }

@@ -1,8 +1,12 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"flov/internal/config"
@@ -60,6 +64,57 @@ func LoadSpec(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("sweep: parse spec %s: %w", path, err)
 	}
 	return s, nil
+}
+
+// MaxSpecBytes bounds a spec body read from the network; real specs are
+// a few hundred bytes, so 1 MiB is generous and still DoS-safe.
+const MaxSpecBytes = 1 << 20
+
+// ReadSpecBody reads a submitted spec body of at most MaxSpecBytes.
+func ReadSpecBody(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, MaxSpecBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	if len(data) > MaxSpecBytes {
+		return nil, fmt.Errorf("spec larger than %d bytes", MaxSpecBytes)
+	}
+	return data, nil
+}
+
+// ReadJobs reads a submitted JSON spec (bounded by MaxSpecBytes) and
+// expands it into its point list; a spec that expands to nothing is an
+// error. Both serving planes admit sweeps through it.
+func ReadJobs(r io.Reader) ([]Job, error) {
+	data, err := ReadSpecBody(r)
+	if err != nil {
+		return nil, err
+	}
+	var spec Spec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return nil, fmt.Errorf("parse spec: %w", err)
+	}
+	points, err := spec.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	if len(points) == 0 {
+		return nil, errors.New("spec expands to zero jobs")
+	}
+	return points, nil
+}
+
+// PointsHash is the identity of a point list: the hash of its expanded
+// point hashes, so two spellings of the same grid coincide. The
+// single-node daemon's dedup key and cluster job ids both derive from
+// it.
+func PointsHash(points []Job) string {
+	h := sha256.New()
+	for _, p := range points {
+		// hash.Hash.Write never returns an error.
+		_, _ = fmt.Fprintf(h, "%s\n", p.Hash())
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Jobs expands the spec into its job list.
