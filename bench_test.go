@@ -230,15 +230,25 @@ func benchSweepJobs(b *testing.B) []flov.SweepJob {
 // network, one Step call per iteration, nothing else. allocs/op here is
 // the number the hotalloc analyzer polices statically and the committed
 // BENCH_sweep.json baseline gates in CI.
-func BenchmarkStep(b *testing.B) {
+func BenchmarkStep(b *testing.B) { benchStep(b, 0.02, 0.5) }
+
+// BenchmarkStepSaturation is BenchmarkStep just below the saturation
+// knee with no core gated: no router sleeps and few are idle, so it
+// gates the busy pipeline that BenchmarkStep's low-load regime mostly
+// skips.
+func BenchmarkStepSaturation(b *testing.B) { benchStep(b, 0.34, 0) }
+
+// benchStep times one Step of a warmed-up gFLOV network under uniform
+// traffic at the given rate with the given fraction of cores gated.
+func benchStep(b *testing.B, rate, gated float64) {
 	cfg := flov.Default()
 	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mask := gating.FractionGated(mesh, 0.5, nil, sim.NewRNG(42))
+	mask := gating.FractionGated(mesh, gated, nil, sim.NewRNG(42))
 	gen := traffic.NewGenerator(traffic.Uniform, mesh, nil)
-	n, err := network.New(cfg, core.NewGFLOV(), gating.Static(mask), gen, 0.02)
+	n, err := network.New(cfg, core.NewGFLOV(), gating.Static(mask), gen, rate)
 	if err != nil {
 		b.Fatal(err)
 	}

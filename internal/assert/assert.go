@@ -19,3 +19,27 @@ import "fmt"
 func Failf(format string, args ...any) {
 	panic("invariant violated: " + fmt.Sprintf(format, args...))
 }
+
+// Digest folds a sequence of values into a comparable value, so a debug
+// check can compare component state before and after a step without
+// copying it. The i-th value is weighted by the odd number 2i+1, so
+// changing any single folded value always changes the digest; the sum
+// has no serial multiply chain, which keeps per-cycle checks cheap.
+type Digest struct {
+	sum, n uint64
+}
+
+// Add folds v into the digest.
+func (d *Digest) Add(v int64) {
+	d.sum += uint64(v) * (2*d.n + 1)
+	d.n++
+}
+
+// AddBool folds b into the digest as 0 or 1.
+func (d *Digest) AddBool(b bool) {
+	if b {
+		d.Add(1)
+	} else {
+		d.Add(0)
+	}
+}

@@ -42,6 +42,7 @@ type flovRouter struct {
 	// Handshake bookkeeping.
 	doneNeeded [topology.NumLinkDirs]bool  // awaiting drain_done per direction
 	oweDone    [topology.NumLinkDirs][]int // requester ids owed a drain_done once uncommitted
+	owed       int                         // ids across all oweDone lists //flovsnap:skip derived from oweDone; RestoreState recounts it
 	awaitSync  [topology.NumLinkDirs]bool  // post-wakeup: discard credits until MsgCreditSync
 
 	wantWake   bool
@@ -228,6 +229,12 @@ func (w *flovRouter) Tick(now int64) {
 		w.sendOwedDones(now)
 		w.tickDraining(now)
 	case Sleep:
+		if w.sleepIdle(now) {
+			if assert.On {
+				w.assertSleepIdleTick(now)
+			}
+			return
+		}
 		w.tickSleep(now)
 	case Wakeup:
 		w.tickWakeup(now)
@@ -237,8 +244,21 @@ func (w *flovRouter) Tick(now int64) {
 // sendOwedDones emits drain_done replies toward every handshake partner
 // waiting on a direction, once no packet remains committed that way. Each
 // reply is addressed to its requester so it cannot be mis-consumed by
-// another router handshaking on the same line.
+// another router handshaking on the same line. With nothing owed it
+// returns at once.
 func (w *flovRouter) sendOwedDones(now int64) {
+	if assert.On {
+		n := 0
+		for d := range w.oweDone {
+			n += len(w.oweDone[d])
+		}
+		if n != w.owed {
+			assert.Failf("flov %d: owed counter %d, recount %d at cycle %d", w.id, w.owed, n, now)
+		}
+	}
+	if w.owed == 0 {
+		return
+	}
 	for d := 0; d < topology.NumLinkDirs; d++ {
 		if len(w.oweDone[d]) == 0 || w.r.CommittedTo(topology.Direction(d)) {
 			continue
@@ -246,6 +266,7 @@ func (w *flovRouter) sendOwedDones(now int64) {
 		for _, to := range w.oweDone[d] {
 			w.send(topology.Direction(d), Msg{Type: MsgDrainDone, From: w.id, To: to})
 		}
+		w.owed -= len(w.oweDone[d])
 		w.oweDone[d] = w.oweDone[d][:0]
 	}
 }
@@ -258,6 +279,7 @@ func (w *flovRouter) addOwe(d topology.Direction, to int) {
 		}
 	}
 	w.oweDone[d] = append(w.oweDone[d], to)
+	w.owed++
 }
 
 // removeOwe cancels a pending drain_done toward router `to`.
@@ -268,6 +290,7 @@ func (w *flovRouter) removeOwe(d topology.Direction, to int) {
 			lst = append(lst, id)
 		}
 	}
+	w.owed -= len(w.oweDone[d]) - len(lst)
 	w.oweDone[d] = lst
 }
 
@@ -449,6 +472,74 @@ func (w *flovRouter) tickSleep(now int64) {
 		}
 		w.startWakeup(now)
 	}
+}
+
+// sleepIdle reports whether tickSleep at now would be a no-op: every
+// latch is empty, nothing becomes visible on an input it drains (link
+// control queues, every flit queue), and no wake trigger can fire. A
+// sleeping router never drains its Local control queue, so credits left
+// there do not count. Channel latency is at least one cycle, so nothing
+// a neighbor pushes during this cycle is Ready at now.
+func (w *flovRouter) sleepIdle(now int64) bool {
+	if now >= w.retryAt && (!w.coreGated || w.wantWake) {
+		return false
+	}
+	if !w.latchesEmpty() {
+		return false
+	}
+	for d := 0; d < topology.NumLinkDirs; d++ {
+		p := &w.r.Ports[d]
+		if p.InCtrl != nil && p.InCtrl.Ready(now) || p.InFlit != nil && p.InFlit.Ready(now) {
+			return false
+		}
+	}
+	q := w.r.Ports[topology.Local].InFlit
+	return q == nil || !q.Ready(now)
+}
+
+// assertSleepIdleTick (flovdebug builds) runs tickSleep on a router that
+// sleepIdle declared idle and fails if the tick changed its FSM, PSRs,
+// latches, handshake bookkeeping, wake requests or any of its port
+// queues. It runs on every idle sleeping router-cycle, so it compares
+// allocation-free digests rather than CaptureState copies.
+func (w *flovRouter) assertSleepIdleTick(now int64) {
+	want, wantQueued := w.stateDigest(), w.r.LinkQueueLens()
+	w.tickSleep(now)
+	if w.stateDigest() != want {
+		assert.Failf("flov %d: idle sleep tick at cycle %d changed router state", w.id, now)
+	}
+	if got := w.r.LinkQueueLens(); got != wantQueued {
+		assert.Failf("flov %d: idle sleep tick at cycle %d moved link queues %v -> %v", w.id, now, wantQueued, got)
+	}
+}
+
+// stateDigest folds the wrapper's mutable state (what CaptureState
+// records; the wake rate-limit memory by size only) into one digest.
+// It is built without race instrumentation, as router.stateDigest is.
+//
+//go:norace
+func (w *flovRouter) stateDigest() assert.Digest {
+	var h assert.Digest
+	h.Add(int64(w.state))
+	h.AddBool(w.coreGated)
+	h.AddBool(w.wantWake)
+	for d := 0; d < topology.NumLinkDirs; d++ {
+		h.Add(int64(w.physState[d]))
+		h.Add(int64(w.logID[d]))
+		h.Add(int64(w.logState[d]))
+		h.AddBool(w.latch[d] != nil)
+		h.AddBool(w.doneNeeded[d])
+		h.AddBool(w.awaitSync[d])
+		h.Add(int64(len(w.oweDone[d])))
+		for _, id := range w.oweDone[d] {
+			h.Add(int64(id))
+		}
+	}
+	for _, v := range [...]int64{w.poweredAt, w.transStart, w.retryAt, w.lastLocal, int64(len(w.wakeSent)),
+		w.sleeps, w.wakes, w.drainAborts, w.wakeAborts, w.latchTraversals, w.sleepTraversals} {
+		h.Add(v)
+	}
+	return h
 }
 
 // startWakeup begins powering the router back on.

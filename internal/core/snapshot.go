@@ -118,8 +118,10 @@ func (m *Mechanism) RestoreState(s State, pkts []*noc.Packet) error {
 		copy(w.logState[:], rs.LogState)
 		copy(w.doneNeeded[:], rs.DoneNeeded)
 		copy(w.awaitSync[:], rs.AwaitSync)
+		w.owed = 0
 		for d := 0; d < topology.NumLinkDirs; d++ {
 			w.oweDone[d] = append(w.oweDone[d][:0], rs.OweDone[d]...)
+			w.owed += len(w.oweDone[d])
 			w.latch[d] = nil
 		}
 		for i, fs := range rs.Latch {

@@ -309,12 +309,6 @@ func (n *Network) Step() {
 	n.now++
 }
 
-// Tick implements sim.Component: one network cycle per kernel tick, so a
-// Network can be stepped by a sim.Kernel alongside other components
-// (co-simulation with additional models). The network keeps its own cycle
-// counter; the kernel's `now` is ignored.
-func (n *Network) Tick(int64) { n.Step() }
-
 // StopGeneration ends synthetic traffic generation at the given cycle.
 func (n *Network) StopGeneration(at int64) { n.genStop = at }
 

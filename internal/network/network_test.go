@@ -6,7 +6,6 @@ import (
 	"flov/internal/config"
 	"flov/internal/gating"
 	"flov/internal/noc"
-	"flov/internal/sim"
 	"flov/internal/traffic"
 )
 
@@ -194,27 +193,6 @@ func TestSetGatingMask(t *testing.T) {
 	n.SetGatingMask(mask)
 	if !n.CoreGated(7) || n.CoreGated(8) {
 		t.Fatal("SetGatingMask not applied")
-	}
-}
-
-// A Network is a sim.Component: it can be driven by the kernel.
-func TestNetworkUnderKernel(t *testing.T) {
-	cfg := config.Default()
-	n, err := New(cfg, NewBaseline(), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	k.Register(n)
-	delivered := false
-	n.NIs[9].OnDeliver = func(p *noc.Packet, now int64) { delivered = true }
-	n.NIs[0].Enqueue(n.NewPacket(0, 9, 0, 4))
-	k.RunFor(200)
-	if !delivered {
-		t.Fatal("kernel-driven network did not deliver")
-	}
-	if n.Now() != 200 {
-		t.Fatalf("network cycle = %d", n.Now())
 	}
 }
 

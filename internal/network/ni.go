@@ -142,7 +142,12 @@ func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 }
 
 // Tick processes credits, ejects arrivals, and injects at most one flit.
+// An NI with no visible credit or flit and nothing queued or mid-
+// injection returns at once: every step below would be a no-op.
 func (ni *NI) Tick(now int64) {
+	if !ni.credIn.Ready(now) && !ni.recvFlit.Ready(now) && !ni.Busy() {
+		return
+	}
 	ni.credIn.Drain(now, func(s router.Signal) {
 		if s.IsCredit {
 			ni.out.Return(s.VC)

@@ -13,6 +13,7 @@ package router
 import (
 	"fmt"
 
+	"flov/internal/assert"
 	"flov/internal/config"
 	"flov/internal/noc"
 	"flov/internal/power"
@@ -121,6 +122,11 @@ type Router struct {
 	saPtr [topology.NumPorts]int
 	inPtr [topology.NumPorts]int
 
+	// buffered counts the flits held in all input VCs, so an idle router
+	// is recognized in O(1): acceptFlit increments it, traverse and
+	// dropFront decrement it.
+	buffered int //flovsnap:skip derived from the input buffers; RestoreState recounts it
+
 	// Per-cycle scratch buffers, reused so the VA stage allocates nothing
 	// in steady state. Contents are only valid within one stage call.
 	vcScratch []int       //flovsnap:skip scratch, valid only within one stage call
@@ -158,16 +164,149 @@ func (r *Router) InVC(d topology.Direction, vc int) *noc.InputVC { return r.in[d
 
 // Tick advances the router one cycle: control processing, flit receive,
 // then the RC, VA and SA/ST pipeline stages. A Frozen (faulted) router
-// does nothing — its state is preserved until the fault heals.
+// does nothing — its state is preserved until the fault heals. An idle
+// router (see idle) skips the pipeline: the only state a full tick would
+// change is the switch allocator's input round-robin pointers, which
+// advance here exactly as stageSA would advance them.
 func (r *Router) Tick(now int64) {
 	if r.Frozen {
 		return
 	}
+	if r.idle(now) {
+		if assert.On {
+			r.assertIdleTick(now)
+			return
+		}
+		r.advanceInPtrs()
+		return
+	}
+	r.pipeline(now)
+}
+
+// pipeline runs one full cycle of the router.
+func (r *Router) pipeline(now int64) {
 	r.processCtrl(now)
 	r.receive(now)
 	r.stageRC(now)
 	r.stageVA(now)
 	r.stageSA(now)
+}
+
+// idle reports whether a full tick at now would be a no-op apart from
+// the input round-robin pointers: no flit is buffered (so RC, VA and SA
+// find no requester) and no credit, control message or flit becomes
+// visible on any input link this cycle. Channel latency is at least one
+// cycle, so nothing a neighbor pushes during this cycle can be Ready at
+// now — the test is sound in any tick order.
+func (r *Router) idle(now int64) bool {
+	if r.buffered != 0 {
+		return false
+	}
+	for p := range r.Ports {
+		pl := &r.Ports[p]
+		if pl.InCtrl != nil && pl.InCtrl.Ready(now) || pl.InFlit != nil && pl.InFlit.Ready(now) {
+			return false
+		}
+	}
+	return true
+}
+
+// advanceInPtrs is the whole effect of an idle tick: stageSA moves every
+// input port's round-robin pointer once per cycle, bid or no bid.
+func (r *Router) advanceInPtrs() {
+	for p := range r.inPtr {
+		r.inPtr[p]++
+	}
+}
+
+// assertIdleTick (flovdebug builds) runs the full pipeline on a router
+// the idle test declared idle and fails if the tick changed anything
+// beyond what advanceInPtrs changes, or if the buffered-flit counter
+// disagrees with a recount. It runs on every idle router-cycle, so it
+// compares allocation-free digests rather than CaptureState copies.
+func (r *Router) assertIdleTick(now int64) {
+	if n := r.countBuffered(); n != r.buffered {
+		assert.Failf("router %d: buffered counter %d, recount %d at cycle %d", r.ID, r.buffered, n, now)
+	}
+	want, wantQueued, wantPtr := r.stateDigest(), r.LinkQueueLens(), r.inPtr
+	for p := range wantPtr {
+		wantPtr[p]++
+	}
+	r.pipeline(now)
+	if r.stateDigest() != want || r.inPtr != wantPtr {
+		assert.Failf("router %d: idle tick at cycle %d changed state beyond the input pointers", r.ID, now)
+	}
+	if got := r.LinkQueueLens(); got != wantQueued {
+		assert.Failf("router %d: idle tick at cycle %d moved link queues %v -> %v", r.ID, now, wantQueued, got)
+	}
+}
+
+// stateDigest folds every field CaptureState records except the input
+// round-robin pointers, plus the buffered counter, into one digest.
+// Like LinkQueueLens it is built without race instrumentation: it only
+// re-reads, on the simulating goroutine, fields the instrumented
+// pipeline itself accesses, and instrumenting it doubled -race runs of
+// the flovdebug build.
+//
+//go:norace
+func (r *Router) stateDigest() assert.Digest {
+	var h assert.Digest
+	h.Add(r.Traversals)
+	h.Add(int64(r.buffered))
+	for p := range r.in {
+		for _, ivc := range r.in[p] {
+			h.Add(int64(ivc.State))
+			h.Add(int64(ivc.OutDir))
+			h.Add(int64(ivc.OutVC))
+			h.Add(ivc.RCCycle)
+			h.Add(ivc.VACycle)
+			h.Add(ivc.WaitSince)
+			h.Add(int64(ivc.Len()))
+		}
+		for vc, c := range r.out[p].Credits {
+			h.Add(int64(c))
+			h.AddBool(r.out[p].Allocated[vc])
+		}
+		h.Add(int64(r.vaPtr[p]))
+		h.Add(int64(r.saPtr[p]))
+	}
+	return h
+}
+
+// LinkQueueLens returns the queue length of every port channel, in the
+// order InFlit, OutFlit, InCtrl, OutCtrl per port (nil channels read 0).
+// Debug checks compare it across a tick that must not move any queue.
+//
+//go:norace
+func (r *Router) LinkQueueLens() [topology.NumPorts][4]int {
+	var lens [topology.NumPorts][4]int
+	for p := range r.Ports {
+		pl := &r.Ports[p]
+		if pl.InFlit != nil {
+			lens[p][0] = pl.InFlit.Len()
+		}
+		if pl.OutFlit != nil {
+			lens[p][1] = pl.OutFlit.Len()
+		}
+		if pl.InCtrl != nil {
+			lens[p][2] = pl.InCtrl.Len()
+		}
+		if pl.OutCtrl != nil {
+			lens[p][3] = pl.OutCtrl.Len()
+		}
+	}
+	return lens
+}
+
+// countBuffered recounts the flits held in all input VCs.
+func (r *Router) countBuffered() int {
+	n := 0
+	for p := range r.in {
+		for _, ivc := range r.in[p] {
+			n += ivc.Len()
+		}
+	}
+	return n
 }
 
 // processCtrl consumes credits and dispatches control messages.
@@ -225,6 +364,7 @@ func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
 		ivc.WaitSince = now
 	}
 	ivc.Push(f, now)
+	r.buffered++
 	r.Ledger.AddBufferWrite(1)
 }
 
@@ -292,9 +432,20 @@ func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) []int 
 // stageVA allocates downstream VCs to packets that completed RC at least
 // one cycle ago (separable, per-output round-robin across input VCs).
 func (r *Router) stageVA(now int64) {
+	// One pass marks the outputs that have requesters, so the per-output
+	// gathering below runs only where it can find any. Allocating for
+	// one output never changes another output's requester set.
+	var wanted uint
+	for p := 0; p < int(topology.NumPorts); p++ {
+		for _, ivc := range r.in[p] {
+			if ivc.State == noc.VCWaitVC && ivc.RCCycle < now {
+				wanted |= 1 << uint(ivc.OutDir)
+			}
+		}
+	}
 	for out := 0; out < int(topology.NumPorts); out++ {
 		outDir := topology.Direction(out)
-		if !r.Ports[out].Connected() {
+		if wanted&(1<<uint(out)) == 0 || !r.Ports[out].Connected() {
 			continue
 		}
 		// Gather requesters for this output (reused scratch: gathering
@@ -520,6 +671,7 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 	if !complete {
 		return false
 	}
+	r.buffered -= count
 	for i := 0; i < count; i++ {
 		ivc.Pop()
 		if r.Ports[port].OutCtrl != nil {
@@ -548,6 +700,7 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 // link and returns a credit upstream.
 func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 	f := ivc.Pop()
+	r.buffered--
 	outDir := ivc.OutDir
 
 	r.Ledger.AddBufferRead(1)
@@ -627,16 +780,7 @@ func (r *Router) CommittedTo(d topology.Direction) bool {
 }
 
 // BuffersEmpty reports whether every input VC buffer is empty.
-func (r *Router) BuffersEmpty() bool {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if !ivc.Empty() {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (r *Router) BuffersEmpty() bool { return r.buffered == 0 }
 
 // ArrivalsPending reports whether any flit is still queued on an input
 // link (sent by a neighbor but not yet received).
@@ -652,6 +796,9 @@ func (r *Router) ArrivalsPending() bool {
 // LocalActivity reports whether the router currently holds any flit that
 // came from or is going to its local port (used for idle detection).
 func (r *Router) LocalActivity() bool {
+	if r.buffered == 0 {
+		return false
+	}
 	for _, ivc := range r.in[topology.Local] {
 		if !ivc.Empty() {
 			return true

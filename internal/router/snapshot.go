@@ -67,5 +67,6 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		r.inPtr[p] = s.InPtr[p]
 	}
 	r.Traversals = s.Traversals
+	r.buffered = r.countBuffered()
 	return nil
 }

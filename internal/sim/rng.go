@@ -1,11 +1,10 @@
-// Package sim provides the cycle-driven simulation kernel used by the
-// FLOV network-on-chip simulator: a deterministic random number generator,
+// Package sim provides the simulation primitives used by the FLOV
+// network-on-chip simulator: a deterministic random number generator and
 // delay queues that give register-transfer (two-phase) semantics between
-// components, and the top-level cycle loop.
+// components. The cycle loop itself is network.Network.Step.
 //
 // Everything in this package is deterministic: two runs with the same seed
-// and the same component set produce bit-identical results, which the test
-// suite relies on.
+// produce bit-identical results, which the test suite relies on.
 package sim
 
 // RNG is a deterministic pseudo-random number generator based on

@@ -178,35 +178,3 @@ func TestDelayDrainConsumesOnlyReady(t *testing.T) {
 		t.Fatal("unready item removed")
 	}
 }
-
-func TestKernelStepOrder(t *testing.T) {
-	k := NewKernel()
-	var order []int
-	k.Register(TickFunc(func(now int64) { order = append(order, 1) }))
-	k.Register(TickFunc(func(now int64) { order = append(order, 2) }))
-	k.Step()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("tick order: %v", order)
-	}
-	if k.Now() != 1 {
-		t.Fatalf("Now() = %d after one step", k.Now())
-	}
-}
-
-func TestKernelRunPredicate(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.Register(TickFunc(func(now int64) { count++ }))
-	end, done := k.Run(100, func(now int64) bool { return now == 10 })
-	if !done || end != 10 || count != 10 {
-		t.Fatalf("Run stopped at %d done=%v count=%d", end, done, count)
-	}
-}
-
-func TestKernelRunFor(t *testing.T) {
-	k := NewKernel()
-	k.RunFor(25)
-	if k.Now() != 25 {
-		t.Fatalf("Now() = %d", k.Now())
-	}
-}
