@@ -12,6 +12,7 @@ package flov_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"flov"
@@ -240,6 +241,8 @@ func BenchmarkStepSaturation(b *testing.B) { benchStep(b, 0.34, 0) }
 
 // benchStep times one Step of a warmed-up gFLOV network under uniform
 // traffic at the given rate with the given fraction of cores gated.
+// Generation stays on for the whole run, so every timed cycle is a
+// loaded one whatever b.N is; the benchmark fails if it ever stops.
 func benchStep(b *testing.B, rate, gated float64) {
 	cfg := flov.Default()
 	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
@@ -252,6 +255,7 @@ func benchStep(b *testing.B, rate, gated float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	n.StopGeneration(math.MaxInt64)
 	for i := 0; i < 2_000; i++ { // reach steady state: queues and scratch warm
 		n.Step()
 	}
@@ -259,6 +263,10 @@ func benchStep(b *testing.B, rate, gated float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Step()
+	}
+	b.StopTimer()
+	if !n.Generating() {
+		b.Fatalf("traffic generation stopped by cycle %d: the benchmark timed an unloaded network", n.Now())
 	}
 }
 

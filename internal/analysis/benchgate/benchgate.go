@@ -67,10 +67,10 @@ func (d *Delta) Regressed() bool { return len(d.Verdicts) > 0 }
 // ParseBench extracts benchmark result lines from `go test -bench`
 // output. Names are normalized by stripping the trailing -N GOMAXPROCS
 // suffix; custom b.ReportMetric units are ignored. Duplicate names
-// (e.g. the same benchmark from several -count runs) keep the last
-// occurrence.
+// (the same benchmark from several -count runs) reduce to the median of
+// each metric, so one noisy run neither fails nor hides a regression.
 func ParseBench(r io.Reader) (map[string]Result, error) {
-	out := make(map[string]Result)
+	runs := make(map[string][]Result)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -114,9 +114,41 @@ func ParseBench(r io.Reader) (map[string]Result, error) {
 		if !known {
 			continue
 		}
-		out[name] = res
+		runs[name] = append(runs[name], res)
+	}
+	out := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		out[name] = medianResult(rs)
 	}
 	return out, sc.Err()
+}
+
+// medianResult reduces repeated runs of one benchmark to the per-metric
+// median (the mean of the middle two for an even count). allocs/op
+// counts as set only if every run reported it.
+func medianResult(rs []Result) Result {
+	m := Result{AllocsSet: true}
+	for _, r := range rs {
+		m.AllocsSet = m.AllocsSet && r.AllocsSet
+	}
+	m.NsPerOp = median(rs, func(r Result) float64 { return r.NsPerOp })
+	m.BytesPerOp = median(rs, func(r Result) float64 { return r.BytesPerOp })
+	m.AllocsPerOp = median(rs, func(r Result) float64 { return r.AllocsPerOp })
+	return m
+}
+
+// median returns the median of one metric across rs.
+func median(rs []Result, metric func(Result) float64) float64 {
+	vs := make([]float64, len(rs))
+	for i, r := range rs {
+		vs[i] = metric(r)
+	}
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // Compare checks every baselined benchmark against the current run.

@@ -43,6 +43,42 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchMedian checks that several -count runs of one benchmark
+// reduce to the per-metric median, whatever order they arrive in, and
+// that an even count takes the mean of the middle two.
+func TestParseBenchMedian(t *testing.T) {
+	const out = `
+BenchmarkStep-2   	   20000	      4400 ns/op	      40 B/op	       1 allocs/op
+BenchmarkStep-2   	   20000	      9000 ns/op	      10 B/op	       0 allocs/op
+BenchmarkStep-2   	   20000	      4200 ns/op	      20 B/op	       1 allocs/op
+BenchmarkStep-2   	   20000	      4300 ns/op	      30 B/op	       5 allocs/op
+BenchmarkStep-2   	   20000	      1000 ns/op	      50 B/op	       1 allocs/op
+BenchmarkSweep-2  	       2	       100 ns/op	       1 B/op	       3 allocs/op
+BenchmarkSweep-2  	       2	       300 ns/op	       3 B/op	       5 allocs/op
+BenchmarkCfg-2    	     100	        10 ns/op
+BenchmarkCfg-2    	     100	        20 ns/op	       1 B/op	       1 allocs/op
+BenchmarkCfg-2    	     100	        30 ns/op
+`
+	got, err := ParseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Result{
+		"BenchmarkStep":  {NsPerOp: 4300, BytesPerOp: 30, AllocsPerOp: 1, AllocsSet: true},
+		"BenchmarkSweep": {NsPerOp: 200, BytesPerOp: 2, AllocsPerOp: 4, AllocsSet: true},
+		// Only one of three runs had -benchmem: allocs/op is not set.
+		"BenchmarkCfg": {NsPerOp: 20, AllocsSet: false},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("want %d benchmarks, got %v", len(want), got)
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("%s: got %+v, want %+v", name, g, w)
+		}
+	}
+}
+
 // base returns a two-benchmark baseline: a zero-alloc kernel and an
 // allocating sweep.
 func base() *Baseline {

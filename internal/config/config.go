@@ -194,6 +194,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: need at least one escape VC per vnet, got %d", c.EscapePerVNet)
 	case c.VNets < 1:
 		return fmt.Errorf("config: need at least one vnet, got %d", c.VNets)
+	case c.VCsTotal() > 64:
+		// The router keeps one bit per VC of a port in a uint64 mask.
+		return fmt.Errorf("config: at most 64 VCs per port, got %d", c.VCsTotal())
 	case c.LinkLatency < 1:
 		return fmt.Errorf("config: link latency must be >= 1 cycle, got %d", c.LinkLatency)
 	case c.PacketSize < 1:

@@ -299,7 +299,7 @@ func (w *flovRouter) tickActive(now int64) {
 		return
 	}
 	w.wantWake = false
-	if w.r.LocalActivity() || w.localBusy() {
+	if w.localBusy() || w.r.LocalActivity() {
 		w.lastLocal = now
 	}
 	if w.drainEligible(now) {

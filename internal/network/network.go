@@ -312,6 +312,10 @@ func (n *Network) Step() {
 // StopGeneration ends synthetic traffic generation at the given cycle.
 func (n *Network) StopGeneration(at int64) { n.genStop = at }
 
+// Generating reports whether the next Step still generates synthetic
+// traffic.
+func (n *Network) Generating() bool { return n.Gen != nil && n.now < n.genStop }
+
 // SetGatingMask applies a new core-gating mask immediately (closed-loop
 // drivers re-shape the active set at phase boundaries instead of using a
 // pre-built schedule).

@@ -68,7 +68,7 @@ func TestNIMisdeliveryPanics(t *testing.T) {
 		}
 	}()
 	// Deliver the packet to the wrong NI directly.
-	f := noc.MakePacketFlits(p)[0]
+	f := &noc.MakePacketFlits(p)[0]
 	n.NIs[0].eject(f, 0)
 }
 

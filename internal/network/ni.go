@@ -26,7 +26,7 @@ type NI struct {
 	credOut  *sim.Delay[router.Signal] // NI -> router: credits for ejection buffers //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 
 	queues  [][]*noc.Packet // per-vnet source queues (unbounded)
-	sending []*txState      // per-vnet in-flight injection
+	sending []txState       // per-vnet in-flight injection (pkt nil when idle)
 	out     *noc.OutputVCState
 	vnetRR  int
 
@@ -41,10 +41,11 @@ type NI struct {
 	Trace *nlog.Log //flovsnap:skip opt-in observability ring, not simulation state
 }
 
-// txState tracks one packet being serialized into the router.
+// txState tracks one packet being serialized into the router. The NI
+// holds it by value; a nil pkt marks an idle vnet.
 type txState struct {
 	pkt   *noc.Packet
-	flits []*noc.Flit
+	flits []noc.Flit
 	next  int
 	vc    int
 }
@@ -56,7 +57,7 @@ func newNI(id int, cfg config.Config, st *stats.Collector) *NI {
 		ID:      id,
 		Cfg:     cfg,
 		queues:  make([][]*noc.Packet, vnets),
-		sending: make([]*txState, vnets),
+		sending: make([]txState, vnets),
 		out:     noc.NewOutputVCState(cfg.VCsTotal(), cfg.BufferDepth, true),
 		Stats:   st,
 	}
@@ -94,8 +95,8 @@ func (ni *NI) Busy() bool {
 	if ni.QueueLen() > 0 {
 		return true
 	}
-	for _, tx := range ni.sending {
-		if tx != nil {
+	for v := range ni.sending {
+		if ni.sending[v].pkt != nil {
 			return true
 		}
 	}
@@ -134,9 +135,9 @@ func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 			fn(p)
 		}
 	}
-	for _, tx := range ni.sending {
-		if tx != nil {
-			fn(tx.pkt)
+	for v := range ni.sending {
+		if p := ni.sending[v].pkt; p != nil {
+			fn(p)
 		}
 	}
 }
@@ -148,15 +149,15 @@ func (ni *NI) Tick(now int64) {
 	if !ni.credIn.Ready(now) && !ni.recvFlit.Ready(now) && !ni.Busy() {
 		return
 	}
-	ni.credIn.Drain(now, func(s router.Signal) {
-		if s.IsCredit {
+	for ni.credIn.Ready(now) {
+		if s, _ := ni.credIn.Pop(now); s.IsCredit {
 			ni.out.Return(s.VC)
 		}
-	})
-
-	ni.recvFlit.Drain(now, func(f *noc.Flit) {
+	}
+	for ni.recvFlit.Ready(now) {
+		f, _ := ni.recvFlit.Pop(now)
 		ni.eject(f, now)
-	})
+	}
 
 	ni.inject(now)
 }
@@ -194,7 +195,7 @@ func (ni *NI) inject(now int64) {
 	// network can always drain to empty.
 	newOK := ni.CanInject == nil || ni.CanInject()
 	for v := 0; newOK && v < vnets; v++ {
-		if ni.sending[v] != nil || len(ni.queues[v]) == 0 {
+		if ni.sending[v].pkt != nil || len(ni.queues[v]) == 0 {
 			continue
 		}
 		pkt := ni.queues[v][0]
@@ -205,17 +206,17 @@ func (ni *NI) inject(now int64) {
 		copy(ni.queues[v], ni.queues[v][1:])
 		ni.queues[v] = ni.queues[v][:len(ni.queues[v])-1]
 		ni.out.Allocated[vc] = true
-		ni.sending[v] = &txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), vc: vc}
+		ni.sending[v] = txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), vc: vc}
 	}
 
 	// Send one flit, round-robin across vnets with active transmissions.
 	for i := 0; i < vnets; i++ {
 		v := (ni.vnetRR + i) % vnets
-		tx := ni.sending[v]
-		if tx == nil || ni.out.Credits[tx.vc] <= 0 {
+		tx := &ni.sending[v]
+		if tx.pkt == nil || ni.out.Credits[tx.vc] <= 0 {
 			continue
 		}
-		f := tx.flits[tx.next]
+		f := &tx.flits[tx.next]
 		f.VC = tx.vc
 		if f.Type.IsHead() {
 			tx.pkt.InjectedAt = now
@@ -226,7 +227,7 @@ func (ni *NI) inject(now int64) {
 		tx.next++
 		if tx.next == len(tx.flits) {
 			ni.out.Allocated[tx.vc] = false
-			ni.sending[v] = nil
+			*tx = txState{}
 		}
 		ni.vnetRR = (v + 1) % vnets
 		return

@@ -40,7 +40,7 @@ func (ni *NI) CaptureState(t *noc.PacketTable) NIState {
 		s.Queues = append(s.Queues, refs)
 	}
 	for _, tx := range ni.sending {
-		if tx == nil {
+		if tx.pkt == nil {
 			s.Sending = append(s.Sending, TxSnap{})
 			continue
 		}
@@ -69,13 +69,13 @@ func (ni *NI) RestoreState(s NIState, pkts []*noc.Packet) error {
 	for v := range ni.sending {
 		tx := s.Sending[v]
 		if !tx.Present {
-			ni.sending[v] = nil
+			ni.sending[v] = txState{}
 			continue
 		}
 		pkt := pkts[tx.Pkt]
-		st := &txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), next: tx.Next, vc: tx.VC}
-		for _, f := range st.flits {
-			f.VC = tx.VC
+		st := txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), next: tx.Next, vc: tx.VC}
+		for i := range st.flits {
+			st.flits[i].VC = tx.VC
 		}
 		ni.sending[v] = st
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flov/internal/sim"
 	"flov/internal/topology"
 )
 
@@ -53,8 +54,8 @@ func TestInputVCFIFO(t *testing.T) {
 	v := NewInputVC(0, 6)
 	p := &Packet{Size: 3}
 	fl := MakePacketFlits(p)
-	for i, f := range fl {
-		v.Push(f, int64(i))
+	for i := range fl {
+		v.Push(&fl[i], int64(i))
 	}
 	if v.Len() != 3 || v.Empty() {
 		t.Fatal("buffer accounting wrong")
@@ -63,7 +64,7 @@ func TestInputVCFIFO(t *testing.T) {
 		t.Fatal("front arrival wrong")
 	}
 	for i := range fl {
-		if got := v.Pop(); got != fl[i] {
+		if got := v.Pop(); got != &fl[i] {
 			t.Fatalf("FIFO order broken at %d", i)
 		}
 	}
@@ -76,19 +77,19 @@ func TestInputVCOverflowPanics(t *testing.T) {
 	v := NewInputVC(0, 2)
 	p := &Packet{Size: 3}
 	fl := MakePacketFlits(p)
-	v.Push(fl[0], 0)
-	v.Push(fl[1], 0)
+	v.Push(&fl[0], 0)
+	v.Push(&fl[1], 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected overflow panic (credit violation)")
 		}
 	}()
-	v.Push(fl[2], 0)
+	v.Push(&fl[2], 0)
 }
 
 func TestInputVCResetRequiresEmpty(t *testing.T) {
 	v := NewInputVC(0, 4)
-	v.Push(MakePacketFlits(&Packet{Size: 1})[0], 0)
+	v.Push(&MakePacketFlits(&Packet{Size: 1})[0], 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic resetting non-empty VC")
@@ -198,5 +199,80 @@ func TestVCStateString(t *testing.T) {
 		if s.String() != str {
 			t.Errorf("%d.String() = %q", int(s), s.String())
 		}
+	}
+}
+
+// TestInputVCMatchesSliceModel drives an InputVC and a plain slice model
+// through random interleavings of pushes, pops, peeks, resets and
+// checkpoint round-trips, and checks they agree after each step. With a
+// 4-flit buffer, pushes regularly find the backing array full with
+// popped slots in front, so the compaction path is crossed many times.
+func TestInputVCMatchesSliceModel(t *testing.T) {
+	type entry struct {
+		seq     int
+		arrived int64
+	}
+	rng := sim.NewRNG(11)
+	compactions := 0
+	for trial := 0; trial < 200; trial++ {
+		v := NewInputVC(1, 4)
+		var model []entry
+		now := int64(0)
+		next := 0
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				if v.Full() {
+					continue
+				}
+				if v.head > 0 && len(v.buf) == cap(v.buf) {
+					compactions++
+				}
+				v.Push(&Flit{Pkt: &Packet{ID: uint64(next)}, Seq: next}, now)
+				model = append(model, entry{next, now})
+				next++
+			case op < 7:
+				if len(model) == 0 {
+					if v.Front() != nil {
+						t.Fatalf("trial %d step %d: empty VC has a front", trial, step)
+					}
+					v.Reset()
+					continue
+				}
+				if f := v.Pop(); f.Seq != model[0].seq {
+					t.Fatalf("trial %d step %d: Pop = flit %d, model front %d", trial, step, f.Seq, model[0].seq)
+				}
+				model = model[1:]
+			case op < 8:
+				// Capture into a packet table and restore into the same
+				// VC or a fresh one.
+				pt := NewPacketTable()
+				s := v.CaptureState(pt)
+				pkts := make([]*Packet, len(pt.List))
+				for i, p := range pt.List {
+					pkts[i] = CapturePacket(p).Materialize()
+				}
+				if rng.Intn(2) == 0 {
+					v = NewInputVC(1, 4)
+				}
+				v.RestoreState(s, pkts)
+			default:
+				now += int64(rng.Intn(3))
+			}
+			if v.Len() != len(model) || v.Empty() != (len(model) == 0) || v.Full() != (len(model) == 4) || !v.WindowOK() {
+				t.Fatalf("trial %d step %d: Len/Empty/Full/WindowOK disagree with model %v", trial, step, model)
+			}
+			for i, e := range model {
+				if f := v.At(i); f.Seq != e.seq {
+					t.Fatalf("trial %d step %d: At(%d) = flit %d, model %v", trial, step, i, f.Seq, model)
+				}
+			}
+			if len(model) > 0 && (v.Front().Seq != model[0].seq || v.FrontArrived() != model[0].arrived) {
+				t.Fatalf("trial %d step %d: front disagrees with model %v", trial, step, model)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no push ever compacted the ring")
 	}
 }

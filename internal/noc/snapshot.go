@@ -115,7 +115,7 @@ func (v *InputVC) CaptureState(t *PacketTable) InputVCState {
 		State: v.State, OutDir: v.OutDir, OutVC: v.OutVC,
 		RCCycle: v.RCCycle, VACycle: v.VACycle, WaitSince: v.WaitSince,
 	}
-	for _, e := range v.buf {
+	for _, e := range v.buf[v.head:] {
 		s.Flits = append(s.Flits, CaptureFlit(t, e.flit))
 		s.Arrived = append(s.Arrived, e.arrived)
 	}
@@ -131,7 +131,9 @@ func (v *InputVC) RestoreState(s InputVCState, pkts []*Packet) {
 	v.RCCycle = s.RCCycle
 	v.VACycle = s.VACycle
 	v.WaitSince = s.WaitSince
+	clear(v.buf)
 	v.buf = v.buf[:0]
+	v.head = 0
 	for i, fs := range s.Flits {
 		v.buf = append(v.buf, bufEntry{flit: fs.Materialize(pkts), arrived: s.Arrived[i]})
 	}

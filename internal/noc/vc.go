@@ -44,6 +44,10 @@ type bufEntry struct {
 }
 
 // InputVC is one virtual-channel input buffer plus its pipeline state.
+//
+// The buffer is head-indexed like sim.Delay: buf[head:] holds the live
+// flits, Pop advances head, and the window moves back to the start of
+// the backing array only when a Push finds that array full.
 type InputVC struct {
 	Index int     // VC index within the input port //flovsnap:skip structural index fixed at construction
 	State VCState // pipeline state
@@ -61,6 +65,7 @@ type InputVC struct {
 	WaitSince int64
 
 	buf      []bufEntry
+	head     int //flovsnap:skip ring position; snapshots see only the live window
 	capacity int //flovsnap:skip structural buffer depth from config
 }
 
@@ -73,13 +78,13 @@ func NewInputVC(index, capacity int) *InputVC {
 func (v *InputVC) Capacity() int { return v.capacity }
 
 // Len returns the number of buffered flits.
-func (v *InputVC) Len() int { return len(v.buf) }
+func (v *InputVC) Len() int { return len(v.buf) - v.head }
 
 // Empty reports whether no flits are buffered.
-func (v *InputVC) Empty() bool { return len(v.buf) == 0 }
+func (v *InputVC) Empty() bool { return v.head == len(v.buf) }
 
 // Full reports whether the buffer has no free slot.
-func (v *InputVC) Full() bool { return len(v.buf) >= v.capacity }
+func (v *InputVC) Full() bool { return v.Len() >= v.capacity }
 
 // Push buffers an arriving flit. It panics on overflow — an overflow means
 // the credit protocol was violated, which is a simulator bug worth failing
@@ -88,39 +93,65 @@ func (v *InputVC) Push(f *Flit, now int64) {
 	if v.Full() {
 		panic(fmt.Sprintf("noc: input VC %d overflow (credit protocol violation) on %s", v.Index, f))
 	}
+	if v.head > 0 && len(v.buf) == cap(v.buf) {
+		n := copy(v.buf, v.buf[v.head:])
+		clear(v.buf[n:])
+		v.buf = v.buf[:n]
+		v.head = 0
+	}
 	v.buf = append(v.buf, bufEntry{flit: f, arrived: now})
 }
 
 // Front returns the flit at the head of the buffer without removing it,
 // or nil if empty.
 func (v *InputVC) Front() *Flit {
-	if len(v.buf) == 0 {
+	if v.Empty() {
 		return nil
 	}
-	return v.buf[0].flit
+	return v.buf[v.head].flit
 }
 
 // At returns the i-th buffered flit (0 = front) without removing it; used
 // by the fault-drop path to check a whole packet is resident. Call only
 // with i < Len().
-func (v *InputVC) At(i int) *Flit { return v.buf[i].flit }
+func (v *InputVC) At(i int) *Flit { return v.buf[v.head+i].flit }
 
 // FrontArrived returns the arrival cycle of the front flit; call only when
 // non-empty.
-func (v *InputVC) FrontArrived() int64 { return v.buf[0].arrived }
+func (v *InputVC) FrontArrived() int64 { return v.buf[v.head].arrived }
 
 // Pop removes and returns the front flit; call only when non-empty.
 func (v *InputVC) Pop() *Flit {
-	f := v.buf[0].flit
-	copy(v.buf, v.buf[1:])
-	v.buf = v.buf[:len(v.buf)-1]
+	f := v.buf[v.head].flit
+	v.buf[v.head] = bufEntry{} // release the reference
+	v.head++
+	if v.head == len(v.buf) {
+		v.buf = v.buf[:0]
+		v.head = 0
+	}
 	return f
+}
+
+// WindowOK reports whether the ring bookkeeping is consistent: the live
+// window lies inside the backing array, its length is Len, every live
+// slot holds a flit and every popped slot before it has been cleared.
+// Debug assertions call it.
+func (v *InputVC) WindowOK() bool {
+	if v.head < 0 || v.head > len(v.buf) || len(v.buf[v.head:]) != v.Len() {
+		return false
+	}
+	for i, e := range v.buf {
+		if (i < v.head) != (e.flit == nil) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reset returns the VC to Idle, clearing route and allocation state. The
 // buffer must already be empty.
 func (v *InputVC) Reset() {
-	if len(v.buf) != 0 {
+	if !v.Empty() {
 		panic("noc: resetting non-empty input VC")
 	}
 	v.State = VCIdle

@@ -15,7 +15,9 @@ func TestSAOneFlitPerPortPerCycle(t *testing.T) {
 	// Saturate: three packets on distinct input VCs, all wanting East.
 	for i := 0; i < 3; i++ {
 		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
+		fl := noc.MakePacketFlits(p)
+		for j := range fl {
+			f := &fl[j]
 			f.VC = i
 			h.localIn.Push(int64(j), f)
 		}
@@ -37,7 +39,9 @@ func TestVAFairness(t *testing.T) {
 	h := newHarness(t, cfg)
 	for i := 0; i < 3; i++ {
 		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
+		fl := noc.MakePacketFlits(p)
+		for j := range fl {
+			f := &fl[j]
 			f.VC = i
 			h.localIn.Push(int64(i*4+j), f)
 		}
@@ -67,7 +71,9 @@ func TestVADistinctDownstreamVCs(t *testing.T) {
 	h := newHarness(t, cfg)
 	for i := 0; i < 2; i++ {
 		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
+		fl := noc.MakePacketFlits(p)
+		for j := range fl {
+			f := &fl[j]
 			f.VC = i
 			h.localIn.Push(int64(j), f)
 		}

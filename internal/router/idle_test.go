@@ -14,7 +14,7 @@ import (
 func TestIdleUntilQueuedFlitIsReady(t *testing.T) {
 	h := newHarness(t, config.Default())
 	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 1}
-	f := noc.MakePacketFlits(p)[0]
+	f := &noc.MakePacketFlits(p)[0]
 	h.localIn.PushAfter(0, 3, f) // latency 1 + 3: visible at cycle 4
 
 	for ; h.now < 4; h.step() {
@@ -65,7 +65,7 @@ func TestCreditArrivalBreaksIdle(t *testing.T) {
 func TestActiveVCWithEmptyBufferIsIdle(t *testing.T) {
 	h := newHarness(t, config.Default())
 	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 2}
-	head := noc.MakePacketFlits(p)[0]
+	head := &noc.MakePacketFlits(p)[0]
 	head.VC = 0
 	h.localIn.Push(0, head)
 

@@ -12,6 +12,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flov/internal/assert"
 	"flov/internal/config"
@@ -115,8 +116,13 @@ type Router struct {
 
 	Ledger *power.Ledger //flovsnap:skip wiring installed by network.New
 
-	in  [topology.NumPorts][]*noc.InputVC
+	in  [topology.NumPorts][]noc.InputVC
 	out [topology.NumPorts]*noc.OutputVCState
+
+	// stMask[s][p] has bit v set exactly when in[p][v].State == s, so
+	// each pipeline stage visits only the VCs in its state. Every state
+	// change goes through setState or resetVC, which keep it in step.
+	stMask [numVCStates][topology.NumPorts]uint64 //flovsnap:skip derived from the input VC states; RestoreState recounts it
 
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
@@ -127,15 +133,22 @@ type Router struct {
 	// dropFront decrement it.
 	buffered int //flovsnap:skip derived from the input buffers; RestoreState recounts it
 
-	// Per-cycle scratch buffers, reused so the VA stage allocates nothing
-	// in steady state. Contents are only valid within one stage call.
-	vcScratch []int       //flovsnap:skip scratch, valid only within one stage call
-	vaScratch []saRequest //flovsnap:skip scratch, valid only within one stage call
+	// Per-cycle scratch, reused so the VA stage allocates nothing in
+	// steady state: the requesters of each output port. Contents are
+	// only valid within one stage call.
+	vaReqs [topology.NumPorts][]saRequest //flovsnap:skip scratch, valid only within one stage call
 
 	// Traversals counts flits switched through this router's crossbar
 	// (utilization heat maps).
 	Traversals int64
 }
+
+// numVCStates is the number of noc.VCState values (Idle..Active).
+const numVCStates = int(noc.VCActive) + 1
+
+// maxVCs is the most VCs per port a router supports: one bit each in
+// the per-port state masks.
+const maxVCs = 64
 
 // New builds a router with empty buffers and full credits on every
 // connected output. Channels must be wired into Ports by the caller
@@ -143,24 +156,65 @@ type Router struct {
 func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger) *Router {
 	r := &Router{ID: id, Cfg: cfg, Mesh: mesh, Ledger: ledger}
 	vcs := cfg.VCsTotal()
-	r.vcScratch = make([]int, 0, vcs)
-	r.vaScratch = make([]saRequest, 0, int(topology.NumPorts)*vcs)
+	if vcs > maxVCs {
+		panic(fmt.Sprintf("router %d: %d VCs per port, at most %d supported", id, vcs, maxVCs))
+	}
 	for p := 0; p < int(topology.NumPorts); p++ {
-		r.in[p] = make([]*noc.InputVC, vcs)
-		for v := 0; v < vcs; v++ {
-			r.in[p][v] = noc.NewInputVC(v, cfg.BufferDepth)
+		r.in[p] = make([]noc.InputVC, vcs)
+		for v := range r.in[p] {
+			r.in[p][v] = *noc.NewInputVC(v, cfg.BufferDepth)
 		}
 		r.out[p] = noc.NewOutputVCState(vcs, cfg.BufferDepth, true)
 	}
+	r.recountMasks()
 	return r
 }
+
+// setState moves input VC ivc of port p to state s, keeping the state
+// masks in step. It is the only writer of InputVC.State besides resetVC
+// and snapshot restore.
+func (r *Router) setState(p topology.Direction, ivc *noc.InputVC, s noc.VCState) {
+	bit := uint64(1) << uint(ivc.Index)
+	r.stMask[ivc.State][p] &^= bit
+	r.stMask[s][p] |= bit
+	ivc.State = s
+}
+
+// resetVC returns an emptied input VC of port p to Idle and clears its
+// route and allocation state.
+func (r *Router) resetVC(p topology.Direction, ivc *noc.InputVC) {
+	r.setState(p, ivc, noc.VCIdle)
+	ivc.Reset()
+}
+
+// SetVCState puts input VC vc of port d into state s. Tests use it to
+// stage pipeline states; the router's own stages change state
+// internally.
+func (r *Router) SetVCState(d topology.Direction, vc int, s noc.VCState) {
+	r.setState(d, &r.in[d][vc], s)
+}
+
+// stateMasks rebuilds the state masks from the input VC states.
+func (r *Router) stateMasks() [numVCStates][topology.NumPorts]uint64 {
+	var m [numVCStates][topology.NumPorts]uint64
+	for p := range r.in {
+		for v := range r.in[p] {
+			m[r.in[p][v].State][p] |= 1 << uint(v)
+		}
+	}
+	return m
+}
+
+// recountMasks resets the state masks from the input VC states (after
+// construction and snapshot restore).
+func (r *Router) recountMasks() { r.stMask = r.stateMasks() }
 
 // Out returns the output credit state for a port (used by power-gating
 // wrappers for credit sync).
 func (r *Router) Out(d topology.Direction) *noc.OutputVCState { return r.out[d] }
 
 // InVC returns one input VC (exposed for tests and drain checks).
-func (r *Router) InVC(d topology.Direction, vc int) *noc.InputVC { return r.in[d][vc] }
+func (r *Router) InVC(d topology.Direction, vc int) *noc.InputVC { return &r.in[d][vc] }
 
 // Tick advances the router one cycle: control processing, flit receive,
 // then the RC, VA and SA/ST pipeline stages. A Frozen (faulted) router
@@ -171,6 +225,9 @@ func (r *Router) InVC(d topology.Direction, vc int) *noc.InputVC { return r.in[d
 func (r *Router) Tick(now int64) {
 	if r.Frozen {
 		return
+	}
+	if assert.On {
+		r.assertKernelState(now)
 	}
 	if r.idle(now) {
 		if assert.On {
@@ -241,6 +298,28 @@ func (r *Router) assertIdleTick(now int64) {
 	}
 }
 
+// assertKernelState (flovdebug builds) checks the derived kernel
+// structures against what they summarize: the state masks against a
+// recount of the input VC states, and every input VC buffer and input
+// link queue against its own ring bookkeeping.
+func (r *Router) assertKernelState(now int64) {
+	if m := r.stateMasks(); m != r.stMask {
+		assert.Failf("router %d: VC state masks %v, recount %v at cycle %d", r.ID, r.stMask, m, now)
+	}
+	for p := range r.in {
+		for v := range r.in[p] {
+			ivc := &r.in[p][v]
+			if !ivc.WindowOK() {
+				assert.Failf("router %d: input VC %s/%d ring window broken at cycle %d", r.ID, topology.Direction(p), v, now)
+			}
+		}
+		pl := &r.Ports[p]
+		if pl.InFlit != nil && !pl.InFlit.WindowOK() || pl.InCtrl != nil && !pl.InCtrl.WindowOK() {
+			assert.Failf("router %d: input link %s ring window broken at cycle %d", r.ID, topology.Direction(p), now)
+		}
+	}
+}
+
 // stateDigest folds every field CaptureState records except the input
 // round-robin pointers, plus the buffered counter, into one digest.
 // Like LinkQueueLens it is built without race instrumentation: it only
@@ -254,7 +333,8 @@ func (r *Router) stateDigest() assert.Digest {
 	h.Add(r.Traversals)
 	h.Add(int64(r.buffered))
 	for p := range r.in {
-		for _, ivc := range r.in[p] {
+		for v := range r.in[p] {
+			ivc := &r.in[p][v]
 			h.Add(int64(ivc.State))
 			h.Add(int64(ivc.OutDir))
 			h.Add(int64(ivc.OutVC))
@@ -302,8 +382,8 @@ func (r *Router) LinkQueueLens() [topology.NumPorts][4]int {
 func (r *Router) countBuffered() int {
 	n := 0
 	for p := range r.in {
-		for _, ivc := range r.in[p] {
-			n += ivc.Len()
+		for v := range r.in[p] {
+			n += r.in[p][v].Len()
 		}
 	}
 	return n
@@ -316,26 +396,29 @@ func (r *Router) processCtrl(now int64) {
 		if q == nil {
 			continue
 		}
-		q.Drain(now, func(s Signal) {
-			if s.IsCredit {
-				if r.DropCredit != nil && r.DropCredit(topology.Direction(p)) {
-					if TraceCredit != nil {
-						TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "drop")
-					}
-					return
+		for q.Ready(now) {
+			s, _ := q.Pop(now)
+			if !s.IsCredit {
+				if r.OnCtrl != nil {
+					r.OnCtrl(topology.Direction(p), s.Msg)
 				}
-				if r.out[p].Credits[s.VC] >= r.out[p].Depth() {
-					panic(fmt.Sprintf("router %d: duplicate credit on port %s vc %d at cycle %d",
-						r.ID, topology.Direction(p), s.VC, now))
-				}
-				r.out[p].Return(s.VC)
-				if TraceCredit != nil {
-					TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "return")
-				}
-			} else if r.OnCtrl != nil {
-				r.OnCtrl(topology.Direction(p), s.Msg)
+				continue
 			}
-		})
+			if r.DropCredit != nil && r.DropCredit(topology.Direction(p)) {
+				if TraceCredit != nil {
+					TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "drop")
+				}
+				continue
+			}
+			if r.out[p].Credits[s.VC] >= r.out[p].Depth() {
+				panic(fmt.Sprintf("router %d: duplicate credit on port %s vc %d at cycle %d",
+					r.ID, topology.Direction(p), s.VC, now))
+			}
+			r.out[p].Return(s.VC)
+			if TraceCredit != nil {
+				TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "return")
+			}
+		}
 	}
 }
 
@@ -346,21 +429,22 @@ func (r *Router) receive(now int64) {
 		if q == nil {
 			continue
 		}
-		q.Drain(now, func(f *noc.Flit) {
+		for q.Ready(now) {
+			f, _ := q.Pop(now)
 			r.acceptFlit(topology.Direction(p), f, now)
-		})
+		}
 	}
 }
 
 // acceptFlit writes one flit into its input VC. Exposed to the FLOV
 // wrapper, which feeds flits arriving during power-state transitions.
 func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
-	ivc := r.in[p][f.VC]
+	ivc := &r.in[p][f.VC]
 	if ivc.State == noc.VCIdle {
 		if !f.Type.IsHead() {
 			panic(fmt.Sprintf("router %d: non-head flit %s into idle VC %d on port %s", r.ID, f, f.VC, p))
 		}
-		ivc.State = noc.VCRouting
+		r.setState(p, ivc, noc.VCRouting)
 		ivc.WaitSince = now
 	}
 	ivc.Push(f, now)
@@ -370,11 +454,11 @@ func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
 
 // stageRC computes routes for head flits at the front of VCs in RC state.
 func (r *Router) stageRC(now int64) {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State != noc.VCRouting {
-				continue
-			}
+	for p := range r.in {
+		// A route decision changes only the state of the VC it routes, so
+		// the mask read once per port lists exactly the VCs to visit.
+		for m := r.stMask[noc.VCRouting][p]; m != 0; m &= m - 1 {
+			ivc := &r.in[p][bits.TrailingZeros64(m)]
 			f := ivc.Front()
 			if f == nil {
 				continue
@@ -405,61 +489,47 @@ func (r *Router) stageRC(now int64) {
 				// Wait for a power-state change or the escape timeout.
 			default:
 				ivc.OutDir = dec.Dir
-				ivc.State = noc.VCWaitVC
+				r.setState(topology.Direction(p), ivc, noc.VCWaitVC)
 				ivc.RCCycle = now
 			}
 		}
 	}
 }
 
-// candidateVCs returns the downstream VC indices a packet may be
-// allocated: regular VCs of its vnet, or the escape VC once the packet
-// has entered the escape subnetwork. Ejection (Local) frees the packet
-// from the escape restriction — any VC of the vnet works at the NI.
-func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) []int {
+// candidateVCs returns the range [lo, hi) of downstream VC indices a
+// packet may be allocated: regular VCs of its vnet, or the escape VC
+// once the packet has entered the escape subnetwork. Ejection (Local)
+// frees the packet from the escape restriction — any VC of the vnet
+// works at the NI.
+func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) (lo, hi int) {
 	if pkt.Escape && outDir != topology.Local {
-		r.vcScratch = append(r.vcScratch[:0], r.Cfg.EscapeVC(pkt.VNet))
-		return r.vcScratch
+		esc := r.Cfg.EscapeVC(pkt.VNet)
+		return esc, esc + 1
 	}
 	base := r.Cfg.VCBase(pkt.VNet)
-	r.vcScratch = r.vcScratch[:0]
-	for i := 0; i < r.Cfg.VCsPerVNet; i++ {
-		r.vcScratch = append(r.vcScratch, base+i)
-	}
-	return r.vcScratch
+	return base, base + r.Cfg.VCsPerVNet
 }
 
 // stageVA allocates downstream VCs to packets that completed RC at least
 // one cycle ago (separable, per-output round-robin across input VCs).
 func (r *Router) stageVA(now int64) {
-	// One pass marks the outputs that have requesters, so the per-output
-	// gathering below runs only where it can find any. Allocating for
-	// one output never changes another output's requester set.
-	var wanted uint
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State == noc.VCWaitVC && ivc.RCCycle < now {
-				wanted |= 1 << uint(ivc.OutDir)
+	// One pass over the WaitVC masks sorts the requesters by output, in
+	// (input port, VC) order. Allocating for one output never changes
+	// another output's requester set, so gathering them all up front
+	// yields the same sets as gathering each just before its turn.
+	for out := range r.vaReqs {
+		r.vaReqs[out] = r.vaReqs[out][:0]
+	}
+	for p := range r.in {
+		for m := r.stMask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
+			if ivc := &r.in[p][bits.TrailingZeros64(m)]; ivc.RCCycle < now {
+				r.vaReqs[ivc.OutDir] = append(r.vaReqs[ivc.OutDir], saRequest{port: topology.Direction(p), ivc: ivc})
 			}
 		}
 	}
-	for out := 0; out < int(topology.NumPorts); out++ {
+	for out, reqs := range r.vaReqs {
 		outDir := topology.Direction(out)
-		if wanted&(1<<uint(out)) == 0 || !r.Ports[out].Connected() {
-			continue
-		}
-		// Gather requesters for this output (reused scratch: gathering
-		// afresh per output allocates nothing in steady state).
-		r.vaScratch = r.vaScratch[:0]
-		for p := 0; p < int(topology.NumPorts); p++ {
-			for _, ivc := range r.in[p] {
-				if ivc.State == noc.VCWaitVC && ivc.OutDir == outDir && ivc.RCCycle < now {
-					r.vaScratch = append(r.vaScratch, saRequest{port: p, ivc: ivc})
-				}
-			}
-		}
-		reqs := r.vaScratch
-		if len(reqs) == 0 {
+		if len(reqs) == 0 || !r.Ports[out].Connected() {
 			continue
 		}
 		if r.AllocOK != nil && outDir != topology.Local && !r.AllocOK(outDir) {
@@ -467,7 +537,7 @@ func (r *Router) stageVA(now int64) {
 			// return requesters to RC so they can adapt to the new
 			// power states next cycle.
 			for _, q := range reqs {
-				q.ivc.State = noc.VCRouting
+				r.setState(q.port, q.ivc, noc.VCRouting)
 			}
 			continue
 		}
@@ -479,7 +549,8 @@ func (r *Router) stageVA(now int64) {
 				continue
 			}
 			granted := -1
-			for _, vc := range r.candidateVCs(f.Pkt, outDir) {
+			lo, hi := r.candidateVCs(f.Pkt, outDir)
+			for vc := lo; vc < hi; vc++ {
 				if !r.out[out].Allocated[vc] {
 					granted = vc
 					break
@@ -490,7 +561,7 @@ func (r *Router) stageVA(now int64) {
 			}
 			r.out[out].Allocated[granted] = true
 			q.ivc.OutVC = granted
-			q.ivc.State = noc.VCActive
+			r.setState(q.port, q.ivc, noc.VCActive)
 			q.ivc.VACycle = now
 			q.ivc.WaitSince = now
 			r.Ledger.AddDyn(power.CatArbitration, 1)
@@ -514,12 +585,12 @@ func (r *Router) stageVA(now int64) {
 				}
 				waited := now - ivc.WaitSince
 				if r.Faults.StuckDrop(f.Pkt, waited) {
-					r.dropFront(topology.Direction(q.port), ivc, now)
+					r.dropFront(q.port, ivc, now)
 					continue
 				}
 				if !f.Pkt.Escape && waited > int64(r.Cfg.EscapeTimeout) {
 					f.Pkt.Escape = true
-					ivc.State = noc.VCRouting
+					r.setState(q.port, ivc, noc.VCRouting)
 				}
 			}
 		}
@@ -529,7 +600,7 @@ func (r *Router) stageVA(now int64) {
 // saRequest is one input VC's allocation request (the VA stage's reused
 // scratch element).
 type saRequest struct {
-	port int
+	port topology.Direction
 	ivc  *noc.InputVC
 }
 
@@ -542,60 +613,43 @@ func (r *Router) stageSA(now int64) {
 	// the paper's 3-cycle router + 1-cycle link.
 	pipeGate := int64(r.Cfg.RouterStages)
 
-	// Input-first: each input port nominates one ready VC (round-robin).
+	// Input-first: each input port nominates one ready VC, scanning its
+	// VCs round-robin from inPtr. The scan acts only on Active VCs, so it
+	// walks the Active mask split at the start VC: the bits at and above
+	// it first, then the bits below it, each in ascending order — the
+	// rotated scan's visiting order. Candidates per output are counted
+	// as the bids are placed.
 	var bids [topology.NumPorts]*noc.InputVC
-	for p := 0; p < int(topology.NumPorts); p++ {
-		vcs := r.in[p]
-		n := len(vcs)
-		start := r.inPtr[p] % n
-		for i := 0; i < n; i++ {
-			ivc := vcs[(start+i)%n]
-			if ivc.State != noc.VCActive || ivc.Empty() {
-				continue
+	var cands [topology.NumPorts]int
+	for p := range r.in {
+		if active := r.stMask[noc.VCActive][p]; active != 0 {
+			low := active & (uint64(1)<<uint(r.inPtr[p]%len(r.in[p])) - 1)
+			ivc := r.nominate(topology.Direction(p), active&^low, now, pipeGate)
+			if ivc == nil {
+				ivc = r.nominate(topology.Direction(p), low, now, pipeGate)
 			}
-			if ivc.FrontArrived()+pipeGate > now {
-				continue
+			if ivc != nil {
+				bids[p] = ivc
+				cands[ivc.OutDir]++
 			}
-			if r.Faults != nil && ivc.OutDir != topology.Local && r.Faults.LinkBlocked(ivc.OutDir) {
-				// Failed link: no new traversal onto it. An untouched head
-				// may re-route (escape packets included, so they can take
-				// an alternate legal turn); partially sent packets wait
-				// for the fault to heal.
-				r.releaseBlocked(ivc, now)
-				continue
-			}
-			od := int(ivc.OutDir)
-			if r.out[od].Credits[ivc.OutVC] <= 0 {
-				r.maybeEscapeStarved(ivc, now)
-				continue
-			}
-			bids[p] = ivc
-			break
 		}
 		r.inPtr[p]++
 	}
 
-	// Output-side arbitration: one winner per output port. Counting then
-	// re-walking the (six-entry) bid array keeps this allocation-free.
-	for out := 0; out < int(topology.NumPorts); out++ {
-		outDir := topology.Direction(out)
-		cands := 0
-		for p := range bids {
-			if bids[p] != nil && bids[p].OutDir == outDir {
-				cands++
-			}
-		}
-		if cands == 0 {
+	// Output-side arbitration: one winner per output port, picked
+	// round-robin among that output's bids in input-port order.
+	for out, n := range cands {
+		if n == 0 {
 			continue
 		}
-		pick := r.saPtr[out] % cands
+		pick := r.saPtr[out] % n
 		r.saPtr[out]++
-		for p := range bids {
-			if bids[p] == nil || bids[p].OutDir != outDir {
+		for p, ivc := range bids {
+			if ivc == nil || ivc.OutDir != topology.Direction(out) {
 				continue
 			}
 			if pick == 0 {
-				r.traverse(p, bids[p], now)
+				r.traverse(topology.Direction(p), ivc, now)
 				// Losers keep their bids for future cycles; clear so an
 				// input port sends at most one flit per cycle.
 				bids[p] = nil
@@ -606,10 +660,39 @@ func (r *Router) stageSA(now int64) {
 	}
 }
 
+// nominate walks the Active VCs of input port p listed in m in ascending
+// order and returns the first that can bid for the switch this cycle, or
+// nil. A VC whose flit is not yet through the pipeline, whose output
+// link has failed or whose downstream VC has no credit is passed over;
+// the last two may fall back to route computation (releaseBlocked,
+// maybeEscapeStarved), which changes only that VC's own state.
+func (r *Router) nominate(p topology.Direction, m uint64, now, pipeGate int64) *noc.InputVC {
+	for ; m != 0; m &= m - 1 {
+		ivc := &r.in[p][bits.TrailingZeros64(m)]
+		if ivc.Empty() || ivc.FrontArrived()+pipeGate > now {
+			continue
+		}
+		if r.Faults != nil && ivc.OutDir != topology.Local && r.Faults.LinkBlocked(ivc.OutDir) {
+			// Failed link: no new traversal onto it. An untouched head
+			// may re-route (escape packets included, so they can take
+			// an alternate legal turn); partially sent packets wait
+			// for the fault to heal.
+			r.releaseBlocked(p, ivc, now)
+			continue
+		}
+		if r.out[ivc.OutDir].Credits[ivc.OutVC] <= 0 {
+			r.maybeEscapeStarved(p, ivc, now)
+			continue
+		}
+		return ivc
+	}
+	return nil
+}
+
 // maybeEscapeStarved applies deadlock recovery to a packet that holds a
 // downstream VC but has sent nothing and been starved of credits past the
 // timeout: release the (untouched) allocation and re-route via escape.
-func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
+func (r *Router) maybeEscapeStarved(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
 	if f == nil || !f.Type.IsHead() {
 		return // mid-packet: downstream will drain via its own recovery
@@ -620,7 +703,7 @@ func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
 	f.Pkt.Escape = true
-	ivc.State = noc.VCRouting
+	r.setState(p, ivc, noc.VCRouting)
 }
 
 // releaseBlocked undoes an untouched VC allocation toward a failed link
@@ -628,7 +711,7 @@ func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
 // escape mode so it can pick a surviving path. Unlike maybeEscapeStarved
 // it also releases packets already in escape mode — their deterministic
 // escape route died under them and must be recomputed.
-func (r *Router) releaseBlocked(ivc *noc.InputVC, now int64) {
+func (r *Router) releaseBlocked(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
 	if f == nil || !f.Type.IsHead() {
 		return // mid-packet: must wait for the link to heal
@@ -639,7 +722,7 @@ func (r *Router) releaseBlocked(ivc *noc.InputVC, now int64) {
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
 	f.Pkt.Escape = true
-	ivc.State = noc.VCRouting
+	r.setState(p, ivc, noc.VCRouting)
 }
 
 // dropFront discards the packet at the front of ivc as a classified loss:
@@ -680,14 +763,14 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 		}
 	}
 	if ivc.Empty() {
-		ivc.Reset()
+		r.resetVC(port, ivc)
 	} else {
 		nf := ivc.Front()
 		if !nf.Type.IsHead() {
 			panic(fmt.Sprintf("router %d: flit %s behind dropped tail is not a head", r.ID, nf))
 		}
 		ivc.OutVC = -1
-		ivc.State = noc.VCRouting
+		r.setState(port, ivc, noc.VCRouting)
 		ivc.WaitSince = now
 	}
 	if r.OnDrop != nil {
@@ -698,7 +781,7 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 
 // traverse moves the winning flit through the crossbar onto its output
 // link and returns a credit upstream.
-func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
+func (r *Router) traverse(port topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Pop()
 	r.buffered--
 	outDir := ivc.OutDir
@@ -735,14 +818,14 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 	if f.Type.IsTail() {
 		r.out[outDir].Allocated[ivc.OutVC] = false
 		if ivc.Empty() {
-			ivc.Reset()
+			r.resetVC(port, ivc)
 		} else {
 			nf := ivc.Front()
 			if !nf.Type.IsHead() {
 				panic(fmt.Sprintf("router %d: flit %s behind tail is not a head", r.ID, nf))
 			}
 			ivc.OutVC = -1
-			ivc.State = noc.VCRouting
+			r.setState(port, ivc, noc.VCRouting)
 			ivc.WaitSince = now
 		}
 	}
@@ -756,10 +839,10 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 // commit. Committed packets (VCActive) are unaffected — the handshake
 // protocol waits for them by design.
 func (r *Router) ReRoute(d topology.Direction) {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State == noc.VCWaitVC && ivc.OutDir == d {
-				ivc.State = noc.VCRouting
+	for p := range r.in {
+		for m := r.stMask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
+			if ivc := &r.in[p][bits.TrailingZeros64(m)]; ivc.OutDir == d {
+				r.setState(topology.Direction(p), ivc, noc.VCRouting)
 			}
 		}
 	}
@@ -769,9 +852,9 @@ func (r *Router) ReRoute(d topology.Direction) {
 // allocation toward output port d — the condition a neighbor must wait
 // out before answering a drain/wakeup handshake with drain_done.
 func (r *Router) CommittedTo(d topology.Direction) bool {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State == noc.VCActive && ivc.OutDir == d {
+	for p := range r.in {
+		for m := r.stMask[noc.VCActive][p]; m != 0; m &= m - 1 {
+			if r.in[p][bits.TrailingZeros64(m)].OutDir == d {
 				return true
 			}
 		}
@@ -799,14 +882,16 @@ func (r *Router) LocalActivity() bool {
 	if r.buffered == 0 {
 		return false
 	}
-	for _, ivc := range r.in[topology.Local] {
-		if !ivc.Empty() {
-			return true
+	// Only a VC past route computation has an output port; on the Local
+	// input port any non-idle VC counts. An idle VC is always empty.
+	for p := range r.in {
+		m := r.stMask[noc.VCWaitVC][p] | r.stMask[noc.VCActive][p]
+		if p == int(topology.Local) {
+			m |= r.stMask[noc.VCRouting][p]
 		}
-	}
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State != noc.VCIdle && ivc.State != noc.VCRouting && ivc.OutDir == topology.Local && !ivc.Empty() {
+		for ; m != 0; m &= m - 1 {
+			ivc := &r.in[p][bits.TrailingZeros64(m)]
+			if !ivc.Empty() && (p == int(topology.Local) || ivc.OutDir == topology.Local) {
 				return true
 			}
 		}

@@ -65,7 +65,9 @@ func newHarness(t *testing.T, cfg config.Config) *harness {
 
 // inject pushes a whole packet's flits, one per cycle, starting now.
 func (h *harness) inject(p *noc.Packet, vc int) {
-	for i, f := range noc.MakePacketFlits(p) {
+	fl := noc.MakePacketFlits(p)
+	for i := range fl {
+		f := &fl[i]
 		f.VC = vc
 		h.localIn.Push(h.now+int64(i), f)
 	}
@@ -80,7 +82,7 @@ func TestRouterPipelineTiming(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 1}
-	f := noc.MakePacketFlits(p)[0]
+	f := &noc.MakePacketFlits(p)[0]
 	h.localIn.Push(0, f) // visible to the router at cycle 1
 	var depart int64 = -1
 	for h.now < 20 && depart < 0 {
@@ -155,7 +157,9 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	// flit budget on the East output. Offer 6 packets (24 flits).
 	for i := 0; i < 6; i++ {
 		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
+		fl := noc.MakePacketFlits(p)
+		for j := range fl {
+			f := &fl[j]
 			f.VC = i % 3 // spread across local input VCs
 			h.localIn.Push(int64(i*4+j), f)
 		}
@@ -315,7 +319,7 @@ func TestRouterPanicsOnNonHeadIntoIdleVC(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	body := noc.MakePacketFlits(p)[1]
+	body := &noc.MakePacketFlits(p)[1]
 	body.VC = 0
 	h.localIn.Push(0, body)
 	defer func() {

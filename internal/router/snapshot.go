@@ -26,7 +26,8 @@ func (r *Router) CaptureState(t *noc.PacketTable) State {
 	s := State{Traversals: r.Traversals}
 	for p := 0; p < int(topology.NumPorts); p++ {
 		vcs := make([]noc.InputVCState, len(r.in[p]))
-		for v, ivc := range r.in[p] {
+		for v := range r.in[p] {
+			ivc := &r.in[p][v]
 			vcs[v] = ivc.CaptureState(t)
 		}
 		s.In = append(s.In, vcs)
@@ -58,7 +59,8 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		}
 	}
 	for p := 0; p < np; p++ {
-		for v, ivc := range r.in[p] {
+		for v := range r.in[p] {
+			ivc := &r.in[p][v]
 			ivc.RestoreState(s.In[p][v], pkts)
 		}
 		r.out[p].RestoreState(s.Out[p])
@@ -68,5 +70,6 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 	}
 	r.Traversals = s.Traversals
 	r.buffered = r.countBuffered()
+	r.recountMasks()
 	return nil
 }

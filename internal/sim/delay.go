@@ -8,9 +8,15 @@ package sim
 //
 // FIFO order is preserved even for items pushed on the same cycle, so a
 // control channel can rely on "credit then notice" ordering.
+//
+// The queue is head-indexed: items[head:] is the live window, Pop
+// advances head, and the window is moved back to the start of the
+// backing array only when a Push finds that array full. A pop therefore
+// never shifts the queue.
 type Delay[T any] struct {
 	latency int64 //flovsnap:skip property of the wire, not of the traffic on it
 	items   []timed[T]
+	head    int //flovsnap:skip ring position; snapshots see only the live window
 }
 
 type timed[T any] struct {
@@ -29,17 +35,29 @@ func NewDelay[T any](latency int) *Delay[T] {
 
 // Push enqueues v at cycle now; it becomes visible at now+latency.
 func (d *Delay[T]) Push(now int64, v T) {
-	d.items = append(d.items, timed[T]{ready: now + d.latency, v: v})
+	d.push(timed[T]{ready: now + d.latency, v: v})
 }
 
 // PushAfter enqueues v with an extra delay on top of the base latency.
 func (d *Delay[T]) PushAfter(now int64, extra int64, v T) {
-	d.items = append(d.items, timed[T]{ready: now + d.latency + extra, v: v})
+	d.push(timed[T]{ready: now + d.latency + extra, v: v})
+}
+
+// push appends one item, first compacting the live window to the front
+// of the backing array if the array is full and has popped slots.
+func (d *Delay[T]) push(it timed[T]) {
+	if d.head > 0 && len(d.items) == cap(d.items) {
+		n := copy(d.items, d.items[d.head:])
+		clear(d.items[n:])
+		d.items = d.items[:n]
+		d.head = 0
+	}
+	d.items = append(d.items, it)
 }
 
 // Ready reports whether an item is visible at cycle now.
 func (d *Delay[T]) Ready(now int64) bool {
-	return len(d.items) > 0 && d.items[0].ready <= now
+	return d.head < len(d.items) && d.items[d.head].ready <= now
 }
 
 // Pop removes and returns the front item if it is visible at cycle now.
@@ -48,21 +66,14 @@ func (d *Delay[T]) Pop(now int64) (T, bool) {
 	if !d.Ready(now) {
 		return zero, false
 	}
-	v := d.items[0].v
-	// Shift rather than reslice forever; the queue is short in practice.
-	copy(d.items, d.items[1:])
-	d.items = d.items[:len(d.items)-1]
-	return v, true
-}
-
-// PopAll removes and returns every item visible at cycle now, in order.
-func (d *Delay[T]) PopAll(now int64) []T {
-	var out []T
-	for d.Ready(now) {
-		v, _ := d.Pop(now)
-		out = append(out, v)
+	v := d.items[d.head].v
+	d.items[d.head] = timed[T]{} // release the reference
+	d.head++
+	if d.head == len(d.items) {
+		d.items = d.items[:0]
+		d.head = 0
 	}
-	return out
+	return v, true
 }
 
 // Drain visits every item visible at cycle now, in order, without
@@ -78,19 +89,34 @@ func (d *Delay[T]) Drain(now int64, fn func(T)) {
 // removing anything. Used for consistency snapshots (e.g. counting
 // in-flight flits when synchronizing credits across a power transition).
 func (d *Delay[T]) Each(fn func(T)) {
-	for _, it := range d.items {
+	for _, it := range d.items[d.head:] {
 		fn(it.v)
 	}
 }
 
 // Len returns the number of queued items (visible or not).
-func (d *Delay[T]) Len() int { return len(d.items) }
+func (d *Delay[T]) Len() int { return len(d.items) - d.head }
 
 // Empty reports whether no items are queued at all.
-func (d *Delay[T]) Empty() bool { return len(d.items) == 0 }
+func (d *Delay[T]) Empty() bool { return d.head == len(d.items) }
 
 // Latency returns the queue's base latency in cycles.
 func (d *Delay[T]) Latency() int64 { return d.latency }
+
+// WindowOK reports whether the ring bookkeeping is consistent: the live
+// window lies inside the backing array, its length is Len, and every
+// popped slot before it has been cleared. Debug assertions call it.
+func (d *Delay[T]) WindowOK() bool {
+	if d.head < 0 || d.head > len(d.items) || len(d.items[d.head:]) != d.Len() {
+		return false
+	}
+	for _, it := range d.items[:d.head] {
+		if it.ready != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Queued is one in-flight item of a Delay with its absolute ready cycle,
 // as captured by Queued()/restored by SetQueued (checkpointing).
@@ -102,8 +128,9 @@ type Queued[T any] struct {
 // Queued returns every in-flight item with its absolute ready cycle, in
 // queue order.
 func (d *Delay[T]) Queued() []Queued[T] {
-	out := make([]Queued[T], len(d.items))
-	for i, it := range d.items {
+	live := d.items[d.head:]
+	out := make([]Queued[T], len(live))
+	for i, it := range live {
 		out[i] = Queued[T]{Ready: it.ready, V: it.v}
 	}
 	return out
@@ -113,7 +140,9 @@ func (d *Delay[T]) Queued() []Queued[T] {
 // ready cycles, queue order). The latency is unchanged; it is a property
 // of the wire, not of the traffic on it.
 func (d *Delay[T]) SetQueued(items []Queued[T]) {
+	clear(d.items)
 	d.items = d.items[:0]
+	d.head = 0
 	for _, it := range items {
 		d.items = append(d.items, timed[T]{ready: it.Ready, v: it.V})
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -113,7 +114,11 @@ func TestDelayFIFOWithinCycle(t *testing.T) {
 	d.Push(0, 1)
 	d.Push(0, 2)
 	d.Push(0, 3)
-	got := d.PopAll(1)
+	var got []int
+	for d.Ready(1) {
+		v, _ := d.Pop(1)
+		got = append(got, v)
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order violated: %v", got)
 	}
@@ -176,5 +181,80 @@ func TestDelayDrainConsumesOnlyReady(t *testing.T) {
 	}
 	if d.Len() != 1 {
 		t.Fatal("unready item removed")
+	}
+}
+
+// TestDelayMatchesSliceModel drives a Delay and a plain slice model
+// through random interleavings of every queue operation, including
+// checkpoint round-trips, and checks they agree after each step. The
+// queues stay short, so pushes regularly find the backing array full
+// with popped slots in front: the compaction path is crossed many times.
+func TestDelayMatchesSliceModel(t *testing.T) {
+	rng := NewRNG(7)
+	compactions := 0
+	for trial := 0; trial < 200; trial++ {
+		d := NewDelay[int](1 + rng.Intn(3))
+		var model []Queued[int]
+		now := int64(0)
+		next := 0
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				if d.head > 0 && len(d.items) == cap(d.items) {
+					compactions++
+				}
+				if op == 0 {
+					extra := int64(rng.Intn(4))
+					d.PushAfter(now, extra, next)
+					model = append(model, Queued[int]{Ready: now + d.Latency() + extra, V: next})
+				} else {
+					d.Push(now, next)
+					model = append(model, Queued[int]{Ready: now + d.Latency(), V: next})
+				}
+				next++
+			case op < 7:
+				v, ok := d.Pop(now)
+				wantOK := len(model) > 0 && model[0].Ready <= now
+				if ok != wantOK || ok && v != model[0].V {
+					t.Fatalf("trial %d step %d: Pop(%d) = %d, %v; model front %v", trial, step, now, v, ok, model)
+				}
+				if ok {
+					model = model[1:]
+				}
+			case op < 8:
+				var got []int
+				d.Each(func(v int) { got = append(got, v) })
+				for i, q := range model {
+					if i >= len(got) || got[i] != q.V {
+						t.Fatalf("trial %d step %d: Each = %v, model %v", trial, step, got, model)
+					}
+				}
+				if len(got) != len(model) {
+					t.Fatalf("trial %d step %d: Each visited %d items, model has %d", trial, step, len(got), len(model))
+				}
+			case op < 9:
+				// Capture and restore into the same queue or a fresh one.
+				q := d.Queued()
+				if rng.Intn(2) == 0 {
+					fresh := NewDelay[int](int(d.Latency()))
+					fresh.SetQueued(q)
+					d = fresh
+				} else {
+					d.SetQueued(q)
+				}
+			default:
+				now += int64(rng.Intn(3))
+			}
+			if got := d.Queued(); len(got) != len(model) || len(model) > 0 && !reflect.DeepEqual(got, model) {
+				t.Fatalf("trial %d step %d: Queued = %v, model %v", trial, step, got, model)
+			}
+			if d.Len() != len(model) || d.Empty() != (len(model) == 0) ||
+				d.Ready(now) != (len(model) > 0 && model[0].Ready <= now) || !d.WindowOK() {
+				t.Fatalf("trial %d step %d: Len/Empty/Ready/WindowOK disagree with model %v", trial, step, model)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no push ever compacted the ring")
 	}
 }
