@@ -8,7 +8,7 @@
 //	flovsweep -server http://host:8080 ... # delegate a sweep to it
 //
 // API: POST /v1/sweeps (async submit), POST /v1/sweeps/run (NDJSON
-// stream), GET /v1/sweeps/{id}[/stream|/results], /metrics,
+// stream), GET /v1/sweeps/{id}[/stream[?from=N]|/results], /metrics,
 // /debug/events, /healthz. Admission is bounded: when -queue jobs are
 // waiting, submissions get 429 instead of unbounded buffering. SIGTERM
 // drains gracefully: stop admitting, finish (or after -drain-grace,
@@ -21,12 +21,16 @@
 //	flovd -worker   -store /srv/flov \
 //	      -cache-addr :8091 -peers http://node2:8091  # execution node
 //
-// Front doors admit jobs (per-tenant quotas and rate limits, 429 +
-// Retry-After when throttled) and serve resumable streams replayed from
-// the store; workers lease jobs, execute them through the sweep engine,
-// work-steal expired leases by adopting checkpoints, and federate their
-// result caches over -cache-addr/-peers. The same spec produces
-// byte-identical rows on any topology.
+// Front doors serve the same /v1/sweeps API and wire types as a
+// single-node flovd, so the Go client and `flovsweep -server` work
+// against either. They admit jobs (per-tenant quotas and rate limits,
+// 429 + Retry-After when throttled) and serve streams replayed from the
+// store's one event log per job, resumable with ?from=N; front-door
+// jobs are durable, so a dropped /run stream never cancels one.
+// Workers lease jobs, execute them through the sweep engine, work-steal
+// expired leases by adopting checkpoints, and federate their result
+// caches over -cache-addr/-peers. The same spec produces byte-identical
+// rows on any topology.
 package main
 
 import (

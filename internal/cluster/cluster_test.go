@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flov/internal/service"
 	"flov/internal/sweep"
 )
 
@@ -168,7 +169,7 @@ func TestClusterByteIdentical(t *testing.T) {
 		Name: "beta", LeaseTTL: time.Minute, Workers: 2}
 
 	done := driveToDone(t, beta, store, rec.ID)
-	if done.State != StateDone {
+	if done.State != service.StateDone {
 		t.Fatalf("state = %q, want done (reason %q)", done.State, done.Reason)
 	}
 	if _, stolen, _, _ := beta.Counters(); stolen == 0 {
@@ -219,7 +220,7 @@ func TestClusterSingleWorkerMatchesReference(t *testing.T) {
 	w := &Worker{Store: store, Cache: newCache(t), Name: "solo",
 		LeaseTTL: time.Minute, Workers: 2}
 	done := driveToDone(t, w, store, rec.ID)
-	if done.State != StateDone || done.Errors != 0 {
+	if done.State != service.StateDone || done.Errors != 0 {
 		t.Fatalf("done = %+v", done)
 	}
 	got, ok := store.Results(rec.ID)

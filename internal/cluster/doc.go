@@ -3,9 +3,10 @@
 // persistent store on a shared directory, execute them through the
 // existing sweep.Engine, and work-steal each other's preempted job
 // slices by adopting checkpoint snapshots when a lease expires. A
-// stateless front door does admission control, per-tenant quotas and
-// rate limits, and serves resumable client streams that replay a job's
-// event feed from the store — a front-door restart loses nothing.
+// stateless front door serves flovd's own /v1/sweeps API and wire types
+// (package service), adding per-tenant quotas and rate limits, and
+// replays a job's event feed from the store — a front-door restart
+// loses nothing, and the service client cannot tell the planes apart.
 //
 // The correctness contract is byte-identical determinism: the same spec
 // produces the same result rows whether it ran on one node, on three,
@@ -22,8 +23,8 @@
 //	jobs/<id>.json        job record, published by atomic link (idempotent submit)
 //	jobs/<id>.done.json   terminal marker, first writer wins
 //	leases/<id>.<epoch>   lease epochs, claimed by atomic hard link
-//	rows/<id>.ndjson      finished rows, append-only, torn-tail tolerant
-//	events/<id>.ndjson    job event feed, append-only (stream replay)
+//	events/<id>.ndjson    job event feed, append-only, torn-tail tolerant:
+//	                      stream replay, and point events carry the rows
 //	results/<id>.json     canonical final row set, written once at completion
 //	snaps/<id>/<n>.snap   mid-run checkpoints of preempted points
 //

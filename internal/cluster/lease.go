@@ -189,25 +189,7 @@ func (l *Lease) rewrite(expiresMS int64) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(l.store.leasePath(l.Job, l.Epoch))
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.store.leasePath(l.Job, l.Epoch)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return replace(l.store.leasePath(l.Job, l.Epoch), data)
 }
 
 // RemoveLeases deletes a finished job's lease files (housekeeping; the

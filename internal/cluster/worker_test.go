@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"flov/internal/service"
 )
 
 // TestWorkerPreemptAndResume runs a job under aggressive slicing: every
@@ -20,7 +22,7 @@ func TestWorkerPreemptAndResume(t *testing.T) {
 		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2}
 
 	done := driveToDone(t, w, store, rec.ID)
-	if done.State != StateDone || done.Errors != 0 {
+	if done.State != service.StateDone || done.Errors != 0 {
 		t.Fatalf("done = %+v", done)
 	}
 	_, _, finished, preempted := w.Counters()
@@ -49,13 +51,11 @@ func TestWorkerFinishesAbandonedJob(t *testing.T) {
 	store := openStore(t)
 	rec := submitJob(t, store, points)
 	for i, r := range rows {
-		if err := store.AppendRow(rec.ID, i, 1, r); err != nil {
-			t.Fatal(err)
-		}
+		appendPoint(t, store, rec.ID, i, 1, r)
 	}
 	w := &Worker{Store: store, Name: "janitor", LeaseTTL: time.Minute, Workers: 1}
 	done := driveToDone(t, w, store, rec.ID)
-	if done.State != StateDone || done.Errors != 0 {
+	if done.State != service.StateDone || done.Errors != 0 {
 		t.Fatalf("done = %+v", done)
 	}
 	got, _ := store.Results(rec.ID)
@@ -90,7 +90,7 @@ func TestDeadlineIsAbsoluteAcrossRequeue(t *testing.T) {
 
 	w := &Worker{Store: store, Name: "late", LeaseTTL: time.Minute, Workers: 2}
 	done := driveToDone(t, w, store, rec.ID)
-	if done.State != StateCanceled {
+	if done.State != service.StateCanceled {
 		t.Fatalf("state = %q, want canceled (expired absolute deadline)", done.State)
 	}
 	if done.Errors != len(points) {

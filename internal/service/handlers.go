@@ -21,7 +21,7 @@ import (
 //	POST /v1/sweeps/run        submit a spec and stream NDJSON until done
 //	POST /v1/opt/run           run a design-space search, stream generations
 //	GET  /v1/sweeps/{id}       job status
-//	GET  /v1/sweeps/{id}/stream  NDJSON replay + live follow of a job
+//	GET  /v1/sweeps/{id}/stream  NDJSON replay + live follow; ?from=N skips N lines
 //	GET  /v1/sweeps/{id}/results result rows of a finished job
 //	GET  /metrics              Prometheus counters and histograms
 //	GET  /debug/events         tail of the service event ring
@@ -63,7 +63,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				s.log("%s", firstLines(string(buf), 6))
 				// Headers may already be gone on a streaming route; the
 				// write error is then the client's signal.
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
+				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -79,7 +79,9 @@ func firstLines(s string, n int) string {
 	return strings.Join(lines, "\n")
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as a JSON body; the cluster front door
+// shares it so both serving planes write the same bytes.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// The response is committed; an encode error here means the client
@@ -87,8 +89,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorBody{Error: msg})
+// WriteError answers with an ErrorBody.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, ErrorBody{Error: msg})
 }
 
 // submitStatus maps a submission error to its HTTP status.
@@ -113,7 +116,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeError(w, status, err.Error())
+	WriteError(w, status, err.Error())
 }
 
 // handleSubmit is the fire-and-forget path: admit and answer 202 with
@@ -121,7 +124,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	points, err := sweep.ReadJobs(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	j, deduped, err := s.submit(points, true)
@@ -131,7 +134,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st := j.status()
 	st.Deduped = deduped
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 // handleRun is the interactive path: admit, then stream the job's feed
@@ -141,7 +144,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	points, err := sweep.ReadJobs(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	j, _, err := s.submit(points, false)
@@ -150,7 +153,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(j)
-	s.streamFeed(w, r, j)
+	s.streamFeed(w, r, j, 0)
 }
 
 // handleStream replays and follows an existing job's feed. Watchers
@@ -158,15 +161,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	s.streamFeed(w, r, j)
+	from, err := StreamFrom(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	s.streamFeed(w, r, j, from)
 }
 
-// streamFeed writes the feed as NDJSON, flushing per event so progress
-// is visible while points are still simulating.
-func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job) {
+// StreamFrom parses a stream request's ?from=N: the number of lines a
+// reconnecting client already received, which the stream skips.
+func StreamFrom(r *http.Request) (int, error) {
+	q := r.URL.Query().Get("from")
+	if q == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		return 0, errors.New("from must be a non-negative integer")
+	}
+	return n, nil
+}
+
+// streamFeed writes the feed from line from onward as NDJSON, flushing
+// per event so progress is visible while points are still simulating.
+func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job, from int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -174,7 +196,7 @@ func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job) {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	for i := 0; ; i++ {
+	for i := from; ; i++ {
 		ev, ok, err := j.feed.next(r.Context(), i)
 		if err != nil || !ok {
 			return // client gone, or feed complete
@@ -191,16 +213,16 @@ func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	j.mu.Lock()
@@ -209,11 +231,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch state {
 	case StateDone:
-		writeJSON(w, http.StatusOK, results)
+		WriteJSON(w, http.StatusOK, results)
 	case StateCanceled:
-		writeError(w, http.StatusGone, "job canceled: "+j.status().Err)
+		WriteError(w, http.StatusGone, "job canceled: "+j.status().Err)
 	default:
-		writeError(w, http.StatusConflict, "job not finished: "+state)
+		WriteError(w, http.StatusConflict, "job not finished: "+state)
 	}
 }
 
@@ -233,7 +255,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "n must be a positive integer")
+			WriteError(w, http.StatusBadRequest, "n must be a positive integer")
 			return
 		}
 		n = v
@@ -249,10 +271,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})
 }

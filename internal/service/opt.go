@@ -26,17 +26,17 @@ type OptStreamLine struct {
 // the connection cancels the search via the request context.
 func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	data, err := sweep.ReadSpecBody(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	spec, err := opt.ParseSpec(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -75,7 +75,7 @@ func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.metrics.optFailed.Add(1)
 		if !started {
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		emit(OptStreamLine{Type: "error", Error: err.Error()})

@@ -528,45 +528,18 @@ func (p progressFan) Event(ev sweep.Event) {
 // noteEvent translates one engine event into the job's stream and its
 // progress counters.
 func (j *job) noteEvent(ev sweep.Event) {
-	e := StreamEvent{
-		Index:     ev.Index,
-		Total:     ev.Total,
-		Desc:      ev.Job.Desc(),
-		WallMS:    float64(ev.Wall) / float64(time.Millisecond),
-		SimCycles: ev.SimCycles,
-		Result:    ev.Result,
-	}
-	switch ev.Type {
-	case sweep.JobStart:
-		e.Type = EventStart
-		e.WallMS = 0
-	case sweep.JobDone:
-		e.Type, e.Status = EventPoint, PointDone
-	case sweep.JobCacheHit:
-		e.Type, e.Status = EventPoint, PointCached
-	case sweep.JobError:
-		e.Type, e.Status, e.Err = EventPoint, PointError, ev.Err
-	case sweep.CacheWriteError:
-		// Not a point outcome; surface on the ring, not the stream.
-		return
-	case sweep.JobPaused:
-		// Point checkpointed for preemption: the job-level "preempted"
-		// event covers it; per-point pause lines would only be noise.
-		return
-	default:
+	e, ok := EngineEvent(ev)
+	if !ok {
 		return
 	}
 	if e.Type == EventPoint {
 		j.mu.Lock()
 		j.done++
-		switch ev.Type {
-		case sweep.JobCacheHit:
+		switch e.Status {
+		case PointCached:
 			j.cacheHits++
-		case sweep.JobError:
+		case PointError:
 			j.errors++
-		default:
-			// JobDone counts only toward done; JobStart and
-			// CacheWriteError cannot reach here (not EventPoint).
 		}
 		j.mu.Unlock()
 	}

@@ -641,3 +641,39 @@ func TestJobTimeout(t *testing.T) {
 		t.Fatalf("final = %+v, want canceled with timeout note", final)
 	}
 }
+
+// TestStreamResumeFrom: ?from=N skips the N feed lines a reconnecting
+// client already holds, the same contract as a cluster front door.
+func TestStreamResumeFrom(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	st := decodeStatus(t, postSpec(t, ts.URL+"/v1/sweeps", testSpec(0.01, 0.02)))
+	waitDone(t, ts.URL, st.ID)
+
+	stream := func(query string) (int, []string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/stream" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var lines []string
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		return resp.StatusCode, lines
+	}
+	_, all := stream("")
+	if len(all) < 4 {
+		t.Fatalf("full stream = %d lines", len(all))
+	}
+	from := len(all) - 2
+	code, tail := stream(fmt.Sprintf("?from=%d", from))
+	if code != http.StatusOK || len(tail) != 2 || tail[0] != all[from] || tail[1] != all[from+1] {
+		t.Fatalf("from=%d: HTTP %d, %q; want the last two of %d lines", from, code, tail, len(all))
+	}
+	if code, _ := stream("?from=-1"); code != http.StatusBadRequest {
+		t.Fatalf("from=-1: HTTP %d, want 400", code)
+	}
+}
