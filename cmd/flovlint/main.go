@@ -1,39 +1,32 @@
 // Command flovlint runs the simulator's determinism and invariant
 // analyzers over the module: no ambient randomness or wall-clock time
 // in simulation packages, no map-iteration order leaking into results,
-// no float == comparisons, no copied locks, no silently discarded
-// errors, exhaustive enum switches, lock discipline in the serving
-// layer, and — module-wide, over the static call graph — five proofs:
-// that the simulation entry points never transitively reach a
-// wall-clock, math/rand, environment, or map-order source (reach);
-// that every struct field reachable from the snapshot roots is
-// round-tripped by CaptureState/RestoreState or carries a
-// //flovsnap:skip <reason> exemption (statecov); that the hot
-// simulation paths (network.Step, the router pipeline, the sim.Delay
-// operations) perform no steady-state heap allocation — make/new,
-// growing append, interface boxing, fmt calls, escaping closures —
-// reported with the full call chain from the root (hotalloc); that the
-// gated-router cycle branch mutates nothing outside the allowlisted
-// FLOV latch/wake state, via interprocedural mutation summaries
-// (purity); and that energy-model arithmetic never mixes Picojoules,
-// Watts and Hertz or adopts raw constants without an explicit
-// conversion (unitsafe). See internal/analysis for the rules and the
-// //flovlint:allow suppression syntax.
+// no silently discarded errors, lock discipline in the serving layer,
+// and — module-wide, over the static call graph — four proofs: that
+// the simulation entry points never transitively reach a wall-clock,
+// math/rand, environment, or map-order source (reach); that every
+// struct field reachable from the snapshot roots is round-tripped by
+// CaptureState/RestoreState or carries a //flovsnap:skip <reason>
+// exemption (statecov); that the hot simulation paths (network.Step,
+// the router pipeline, the sim.Delay operations) perform no
+// steady-state heap allocation — make/new, growing append, interface
+// boxing, fmt calls, escaping closures — reported with the full call
+// chain from the root (hotalloc); and that the gated-router cycle
+// branch mutates nothing outside the allowlisted FLOV latch/wake
+// state, via interprocedural mutation summaries (purity). See
+// internal/analysis for the rules and the //flovlint:allow suppression
+// syntax.
 //
 // Usage:
 //
 //	flovlint ./...                  # whole module (the CI gate)
 //	flovlint ./internal/core        # one package
-//	flovlint -rule floatcmp ./...
+//	flovlint -rule reach ./...
 //	flovlint -list-rules            # every rule with its one-line doc
-//	flovlint -json ./...            # findings as JSON on stdout
 //	flovlint -sarif out.sarif ./... # SARIF 2.1.0 log ("-" = stdout)
-//	flovlint -write-baseline ./...  # acknowledge current findings
 //
-// Findings listed in the checked-in baseline (.flovlint-baseline.json
-// at the module root, override with -baseline) are acknowledged and do
-// not fail the run; everything else does. The baseline in this repo is
-// intentionally empty.
+// Every finding fails the run; acknowledge an intentional one with a
+// reasoned //flovlint:allow comment on its line.
 //
 // Exit status: 0 clean, 1 findings, 2 operational error (unparseable
 // or untypeable code included — broken code cannot be vouched for).
@@ -50,24 +43,14 @@ import (
 	"flov/internal/analysis"
 )
 
-// defaultBaselineName is the checked-in baseline file at the module root.
-const defaultBaselineName = ".flovlint-baseline.json"
-
 func main() {
 	rules := flag.String("rule", "", "comma-separated analyzer subset (default: all)")
 	tags := flag.String("tags", "", "comma-separated build tags (e.g. flovdebug)")
-	list := flag.Bool("list", false, "list analyzers and exit")
 	listRulesFlag := flag.Bool("list-rules", false, "list every rule with its one-line doc and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	sarifOut := flag.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" = stdout)")
-	baselinePath := flag.String("baseline", "", "baseline file (default: "+defaultBaselineName+" at the module root)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline to acknowledge all current findings")
-	rootsFlag := flag.String("roots", "", "comma-separated reach entry points, pkg.Func or pkg.Recv.Func (default: the built-in simulator roots)")
-	hotRootsFlag := flag.String("hotroots", "", "comma-separated hotalloc entry points, same syntax as -roots (default: the built-in hot-path roots)")
-	pureRootsFlag := flag.String("pureroots", "", "comma-separated purity entry points, same syntax as -roots (default: the gated-router cycle branch)")
 	flag.Parse()
 
-	if *list || *listRulesFlag {
+	if *listRulesFlag {
 		listRules(os.Stdout)
 		return
 	}
@@ -114,77 +97,20 @@ func main() {
 
 	if len(modAnalyzers) > 0 {
 		module := analysis.NewModule(loader.ModulePath, loader.Fset, loader.Packages())
-		if *rootsFlag != "" {
-			for _, spec := range strings.Split(*rootsFlag, ",") {
-				r, err := analysis.ParseRoot(strings.TrimSpace(spec))
-				if err != nil {
-					fatal(err)
-				}
-				module.Roots = append(module.Roots, r)
-			}
-		}
-		if *hotRootsFlag != "" {
-			for _, spec := range strings.Split(*hotRootsFlag, ",") {
-				r, err := analysis.ParseRoot(strings.TrimSpace(spec))
-				if err != nil {
-					fatal(err)
-				}
-				module.HotRoots = append(module.HotRoots, r)
-			}
-		}
-		if *pureRootsFlag != "" {
-			for _, spec := range strings.Split(*pureRootsFlag, ",") {
-				r, err := analysis.ParseRoot(strings.TrimSpace(spec))
-				if err != nil {
-					fatal(err)
-				}
-				module.PureRoots = append(module.PureRoots, r)
-			}
-		}
 		diags = append(diags, analysis.RunModule(module, modAnalyzers)...)
 	}
 	analysis.SortDiagnostics(diags)
 
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(root, defaultBaselineName)
-	}
-
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(bpath, root, diags); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "flovlint: baselined %d finding(s) to %s\n", len(diags), bpath)
-		return
-	}
-
-	baseline, err := analysis.LoadBaseline(bpath)
-	if err != nil {
-		fatal(err)
-	}
-	fresh, stale := analysis.ApplyBaseline(baseline, root, diags)
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "flovlint: baseline entry no longer matches (fixed? remove it): %s %s: %s\n",
-			e.Rule, e.File, e.Message)
-	}
-
 	if *sarifOut != "" {
-		if err := writeSARIFOutput(*sarifOut, root, fresh); err != nil {
+		if err := writeSARIFOutput(*sarifOut, root, diags); err != nil {
 			fatal(err)
 		}
 	}
-	switch {
-	case *jsonOut:
-		if err := analysis.WriteJSON(os.Stdout, root, fresh); err != nil {
-			fatal(err)
-		}
-	default:
-		for _, d := range fresh {
-			fmt.Println(relToRoot(root, d))
-		}
+	for _, d := range diags {
+		fmt.Println(relToRoot(root, d))
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "flovlint: %d finding(s)\n", len(fresh))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "flovlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -6,11 +6,13 @@
 // The sweep engine's content-addressed result cache and the equivalence
 // tests assume that identical Job specs always produce bit-identical
 // rows. That property holds only if simulation code draws randomness
-// exclusively from the seeded sim.RNG, never reads the wall clock,
-// never lets map-iteration order leak into results, and never compares
-// latency/energy floats with ==. Each analyzer in this package checks
-// one of those rules mechanically; cmd/flovlint wires them into a CI
-// gate.
+// exclusively from the seeded sim.RNG, never reads the wall clock and
+// never lets map-iteration order leak into results. The analyzers in
+// this package check those rules mechanically, along with the other
+// contracts the module leans on: checked output and cache writes,
+// serving-layer lock discipline, snapshot coverage, and an
+// allocation-free, pure cycle kernel. cmd/flovlint wires them into a
+// CI gate.
 //
 // Diagnostics can be suppressed for one line with a trailing or
 // preceding comment of the form:
@@ -92,9 +94,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondetAnalyzer,
 		MapRangeAnalyzer,
-		FloatCmpAnalyzer,
 		ErrCheckAnalyzer,
-		ExhaustiveAnalyzer,
 		LockSafeAnalyzer,
 	}
 }

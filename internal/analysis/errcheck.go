@@ -11,6 +11,11 @@ import (
 // a silently dropped error turns into a truncated CSV that looks like
 // a simulation result.
 //
+// Contract: output and cache writes that a full disk must not silently
+// truncate. Finding history: when the rule landed, its findings were
+// dropped errors on the output paths of flovsweep and the sweep
+// engine, each now checked or explicitly discarded.
+//
 // Two discard forms are treated differently:
 //
 //   - assignments whose left-hand side is entirely blank (`_ = f()`,

@@ -14,6 +14,13 @@ import (
 // into results — the exact nondeterminism the sweep cache and the
 // equivalence tests cannot tolerate.
 //
+// Contract: bit-identical rows for identical job specs. Finding
+// history: when the rule landed it caught a real bug, the PARSEC
+// summary accumulating float sums in map order, so its headline numbers
+// could differ between runs; the fix sorts the keys. The module-wide
+// reach analyzer reuses the detection, mapRangeViolations, as one of
+// its forbidden sources.
+//
 // The one allowed shape is the canonical sort idiom — a body that only
 // collects the keys:
 //
@@ -26,9 +33,6 @@ import (
 // forgetting to sort them is still a bug, just not one it can see.)
 // Order-independent bodies — counting, map-to-map writes, max/min over
 // integers — are not flagged.
-//
-// The detection itself lives in mapRangeViolations so the module-wide
-// reach analyzer can reuse it as a forbidden-source predicate.
 var MapRangeAnalyzer = &Analyzer{
 	Name: "maprange",
 	Doc:  "forbid order-sensitive bodies under map iteration",
@@ -215,4 +219,13 @@ func calleeName(call *ast.CallExpr) (string, bool) {
 		return fn.Sel.Name, true
 	}
 	return "", false
+}
+
+// isFloat reports whether t is (or defaults to) a floating-point type.
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	basic, ok := types.Default(t).Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
 }

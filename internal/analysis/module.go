@@ -17,8 +17,8 @@ type Module struct {
 	Path     string // module path ("flov")
 	Fset     *token.FileSet
 	Packages []*Package // sorted by import path
-	// Roots are the reach entry points. cmd/flovlint fills in
-	// DefaultReachRoots; tests substitute fixture entry points.
+	// Roots are the reach entry points, defaulting to DefaultReachRoots
+	// when nil; tests substitute fixture entry points.
 	Roots []RootSpec
 	// HotRoots are the hotalloc entry points, defaulting to
 	// DefaultHotAllocRoots when nil.
@@ -75,7 +75,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ModuleAnalyzers returns the module-wide flovlint analyzer set.
 func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer, HotAllocAnalyzer, PurityAnalyzer, UnitsafeAnalyzer}
+	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer, HotAllocAnalyzer, PurityAnalyzer}
 }
 
 // RunModule runs the given module analyzers over the loaded module and
@@ -93,22 +93,6 @@ func RunModule(m *Module, analyzers []*ModuleAnalyzer) []Diagnostic {
 	}
 	SortDiagnostics(diags)
 	return diags
-}
-
-// LoadModule discovers and loads the packages matching patterns and
-// wraps everything the loader pulled in (including module-internal
-// dependencies of the named packages) as a Module.
-func LoadModule(l *Loader, patterns []string) (*Module, error) {
-	paths, err := l.Discover(patterns)
-	if err != nil {
-		return nil, err
-	}
-	for _, path := range paths {
-		if _, err := l.Load(path); err != nil {
-			return nil, err
-		}
-	}
-	return NewModule(l.ModulePath, l.Fset, l.Packages()), nil
 }
 
 // funcDisplay renders a function or method in the short form used by

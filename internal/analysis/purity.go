@@ -264,10 +264,10 @@ func sortedIntKeys(m map[int]token.Pos) []token.Pos {
 }
 
 // collectMarkerComments indexes marker comments (//flovpure:assume,
-// //flovsnap:skip, //flovunit:convert) by file and line; like
-// //flovlint:allow, a marker covers its own line (trailing comment) and
-// the line below (comment above the statement). The text after the
-// marker, cut at any nested "//", is the reason.
+// //flovsnap:skip) by file and line; like //flovlint:allow, a marker
+// covers its own line (trailing comment) and the line below (comment
+// above the statement). The text after the marker, cut at any nested
+// "//", is the reason.
 func collectMarkerComments(m *Module, marker string) map[string]map[int]skipEntry {
 	out := make(map[string]map[int]skipEntry)
 	for _, pkg := range m.Packages {
@@ -279,8 +279,8 @@ func collectMarkerComments(m *Module, marker string) map[string]map[int]skipEntr
 						continue
 					}
 					rest := c.Text[idx+len(marker):]
-					// Require a clean token boundary: "//flovunit:convert"
-					// must not be misread as a "//flovunit" tag.
+					// Require a clean token boundary, so a longer marker
+					// sharing this one as a prefix is not misread as it.
 					if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 						continue
 					}

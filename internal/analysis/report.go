@@ -2,58 +2,14 @@ package analysis
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 )
 
-// Machine-readable reporting and the finding baseline.
-//
-// The baseline file holds previously-acknowledged findings so CI can
-// fail on anything new while legacy suppressions stay visible and
-// auditable in one reviewed artifact instead of scattered allow
-// comments. Entries match on (rule, file, message) — deliberately not
-// on line numbers, so unrelated edits above a finding do not churn the
-// baseline. The intended steady state for this module is an empty
-// baseline: the file exists to make any future exception loud.
-
-// JSONFinding is one diagnostic in -json output.
-type JSONFinding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"` // module-root-relative, slash-separated
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
-
-// jsonFindings converts diagnostics to their wire form with root-
-// relative paths.
-func jsonFindings(root string, diags []Diagnostic) []JSONFinding {
-	out := make([]JSONFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, JSONFinding{
-			Rule:    d.Rule,
-			File:    relPath(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Message: d.Msg,
-		})
-	}
-	return out
-}
-
-// WriteJSON emits the findings as a JSON array (never null).
-func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonFindings(root, diags))
-}
-
 // SARIF wire structs — the minimal subset of SARIF 2.1.0 that GitHub
-// code scanning and most viewers consume.
+// code scanning and most viewers consume. SARIF is flovlint's one
+// machine-readable format; CI publishes the log on every run.
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
 	Version string     `json:"version"`
@@ -159,79 +115,6 @@ func WriteSARIF(w io.Writer, root string, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// BaselineEntry identifies one acknowledged finding.
-type BaselineEntry struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"` // module-root-relative, slash-separated
-	Message string `json:"message"`
-}
-
-// Baseline is the checked-in set of acknowledged findings.
-type Baseline struct {
-	Version  int             `json:"version"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// LoadBaseline reads a baseline file; a missing file is an empty
-// baseline (path is then simply not in use yet).
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return &Baseline{Version: 1}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("analysis: parsing baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// WriteBaseline writes the findings as a fresh baseline file.
-func WriteBaseline(path, root string, diags []Diagnostic) error {
-	b := &Baseline{Version: 1}
-	seen := make(map[BaselineEntry]bool)
-	for _, d := range diags {
-		e := BaselineEntry{Rule: d.Rule, File: relPath(root, d.Pos.Filename), Message: d.Msg}
-		if !seen[e] {
-			seen[e] = true
-			b.Findings = append(b.Findings, e)
-		}
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ApplyBaseline splits diags into fresh findings (not in the baseline,
-// these fail the run) and returns the stale baseline entries that
-// matched nothing (candidates for removal, reported but not fatal).
-func ApplyBaseline(b *Baseline, root string, diags []Diagnostic) (fresh []Diagnostic, stale []BaselineEntry) {
-	known := make(map[BaselineEntry]bool, len(b.Findings))
-	for _, e := range b.Findings {
-		known[e] = true
-	}
-	matched := make(map[BaselineEntry]bool)
-	for _, d := range diags {
-		e := BaselineEntry{Rule: d.Rule, File: relPath(root, d.Pos.Filename), Message: d.Msg}
-		if known[e] {
-			matched[e] = true
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	for _, e := range b.Findings {
-		if !matched[e] {
-			stale = append(stale, e)
-		}
-	}
-	return fresh, stale
 }
 
 // relPath renders filename relative to the module root with forward

@@ -37,9 +37,6 @@ func (m *Mechanism) Name() string {
 	return "rFLOV"
 }
 
-// Generalized reports whether this is gFLOV.
-func (m *Mechanism) Generalized() bool { return m.generalized }
-
 // Attach wraps every router with the FLOV architecture.
 func (m *Mechanism) Attach(n *network.Network) {
 	m.net = n

@@ -66,7 +66,6 @@ type Spec struct {
 
 // Zero reports whether the spec can never inject a fault.
 func (s Spec) Zero() bool {
-	//flovlint:allow floatcmp -- exact literal zero is the "never fires" sentinel
 	return s.LinkRate == 0 && s.RouterRate == 0 && len(s.Schedule) == 0
 }
 

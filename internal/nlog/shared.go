@@ -1,9 +1,6 @@
 package nlog
 
-import (
-	"io"
-	"sync"
-)
+import "sync"
 
 // Shared is a mutex-guarded Log for concurrent recorders. The simulator
 // itself is single-threaded and uses Log directly; the serving layer
@@ -21,13 +18,6 @@ func NewShared(capacity int) *Shared {
 	return &Shared{log: New(capacity)}
 }
 
-// Add records an event (dropping the oldest when full).
-func (s *Shared) Add(cycle int64, kind Kind, router int, note string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.log.Add(cycle, kind, router, note)
-}
-
 // Addf records a formatted event.
 func (s *Shared) Addf(cycle int64, kind Kind, router int, format string, args ...any) {
 	s.mu.Lock()
@@ -35,30 +25,9 @@ func (s *Shared) Addf(cycle int64, kind Kind, router int, format string, args ..
 	s.log.Addf(cycle, kind, router, format, args...)
 }
 
-// Total returns how many events were recorded (including evicted ones).
-func (s *Shared) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Total()
-}
-
-// Events returns the retained events, oldest first.
-func (s *Shared) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Events()
-}
-
 // Tail returns the newest n retained events, oldest first.
 func (s *Shared) Tail(n int) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log.Tail(n)
-}
-
-// WriteTo dumps the retained events, one per line.
-func (s *Shared) WriteTo(w io.Writer) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.WriteTo(w)
 }

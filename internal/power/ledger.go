@@ -138,8 +138,7 @@ func (l *Ledger) TickStatic(onRouters, gatedRouters int, flovCapable bool) {
 func (l *Ledger) Cycles() int64 { return l.cycles }
 
 // DynamicEnergyPJ returns total dynamic energy, optionally per category.
-//
-//flovunit:convert raw-float reporting boundary for stats/metrics consumers
+// It is a raw-float reporting boundary for stats/metrics consumers.
 func (l *Ledger) DynamicEnergyPJ() float64 {
 	var sum Picojoules
 	for _, e := range l.dynPJ {
@@ -149,13 +148,11 @@ func (l *Ledger) DynamicEnergyPJ() float64 {
 }
 
 // CategoryEnergyPJ returns the dynamic energy billed to one category.
-//
-//flovunit:convert raw-float reporting boundary for stats/metrics consumers
+// It is a raw-float reporting boundary for stats/metrics consumers.
 func (l *Ledger) CategoryEnergyPJ(c DynCategory) float64 { return float64(l.dynPJ[c]) }
 
 // StaticEnergyPJ returns total integrated leakage energy.
-//
-//flovunit:convert raw-float reporting boundary for stats/metrics consumers
+// It is a raw-float reporting boundary for stats/metrics consumers.
 func (l *Ledger) StaticEnergyPJ() float64 { return float64(l.staticPJ) }
 
 // TotalEnergyPJ returns static plus dynamic energy.

@@ -6,7 +6,7 @@
 // evaluation cares about relative behaviour (static vs dynamic shares,
 // FLOV latch vs full router pipeline, gated-residual leakage), which the
 // model preserves. All energies are Picojoules, all powers Watts — typed
-// units (units.go) checked by flovlint's unitsafe rule.
+// units (units.go) that the compiler keeps apart.
 package power
 
 import "flov/internal/config"

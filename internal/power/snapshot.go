@@ -9,9 +9,8 @@ type LedgerState struct {
 	Enabled  bool
 }
 
-// CaptureState copies the ledger's accumulators.
-//
-//flovunit:convert the snapshot wire format stays raw []float64
+// CaptureState copies the ledger's accumulators. The snapshot wire
+// format stays raw []float64, so this crosses out of the unit types.
 func (l *Ledger) CaptureState() LedgerState {
 	dyn := make([]float64, len(l.dynPJ))
 	for i, e := range l.dynPJ {

@@ -1,11 +1,11 @@
 package power
 
-// Typed units of measure for the energy model. The //flovunit tags make
-// these unit types for flovlint's unitsafe rule: arithmetic mixing two
-// of them, conversions rebranding one as another, and raw constants
-// adopting a unit implicitly are all findings. The only legitimate
-// dimension crossings live in the //flovunit:convert helpers below and
-// on the raw-float reporting getters, each with its reason on record.
+// Typed units of measure for the energy model. Go's named types reject
+// arithmetic mixing two of them (Picojoules + Watts does not compile),
+// so a raw float64 crossing a dimension needs an explicit conversion.
+// The only legitimate crossings are EnergyPerCycle below, the
+// raw-float reporting getters on Ledger, and the snapshot wire format,
+// each with its reason in its doc comment.
 //
 // The wrappers are numerically transparent: Scale multiplies by a
 // dimensionless count with the same single IEEE multiply as the
@@ -15,13 +15,13 @@ package power
 // TestTypedUnitsPreserveNumerics).
 
 // Picojoules is an amount of energy.
-type Picojoules float64 //flovunit pJ
+type Picojoules float64
 
 // Watts is a power draw.
-type Watts float64 //flovunit W
+type Watts float64
 
 // Hertz is a clock frequency.
-type Hertz float64 //flovunit Hz
+type Hertz float64
 
 // Scale multiplies an energy by a dimensionless event count.
 func (p Picojoules) Scale(n float64) Picojoules { return p * Picojoules(n) }
@@ -30,9 +30,8 @@ func (p Picojoules) Scale(n float64) Picojoules { return p * Picojoules(n) }
 func (w Watts) Scale(n float64) Watts { return w * Watts(n) }
 
 // EnergyPerCycle integrates one clock cycle of this power draw:
-// E[pJ] = P[W] * (1/hz)[s] * 1e12.
-//
-//flovunit:convert the one W·s→pJ dimension crossing in the model
+// E[pJ] = P[W] * (1/hz)[s] * 1e12. It is the one W·s→pJ dimension
+// crossing in the model.
 func (w Watts) EnergyPerCycle(hz Hertz) Picojoules {
 	return Picojoules(float64(w) / float64(hz) * 1e12)
 }

@@ -70,7 +70,6 @@ type Spec struct {
 
 // confidence returns the effective CI level.
 func (s Spec) confidence() float64 {
-	//flovlint:allow floatcmp -- exact zero is the "use the default" sentinel
 	if s.Confidence == 0 {
 		return 0.95
 	}

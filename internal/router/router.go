@@ -898,9 +898,3 @@ func (r *Router) LocalActivity() bool {
 	}
 	return false
 }
-
-// SendCtrl pushes a control message to the neighbor in direction d.
-func (r *Router) SendCtrl(now int64, d topology.Direction, msg any) {
-	r.Ports[d].OutCtrl.Push(now, CtrlSignal(msg))
-	r.Ledger.AddDyn(power.CatHandshake, 1)
-}

@@ -81,16 +81,6 @@ func TestLocalActivityOnEjection(t *testing.T) {
 	}
 }
 
-func TestSendCtrlDeliversMessage(t *testing.T) {
-	cfg := config.Default()
-	h := newHarness(t, cfg)
-	h.r.SendCtrl(5, topology.East, "hello")
-	s, ok := h.eastCtrl.Pop(6)
-	if !ok || s.IsCredit || s.Msg != "hello" {
-		t.Fatalf("control message not delivered: %+v ok=%v", s, ok)
-	}
-}
-
 func TestEscapeStarvedReleasesUntouchedAllocation(t *testing.T) {
 	cfg := config.Default()
 	cfg.EscapeTimeout = 5
