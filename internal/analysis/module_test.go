@@ -105,33 +105,6 @@ func TestReachUnresolvedRoot(t *testing.T) {
 	}
 }
 
-// TestParseRoot covers both accepted spellings and the error case.
-func TestParseRoot(t *testing.T) {
-	r, err := ParseRoot("flov/internal/network.Network.Step")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RootSpec{Pkg: "flov/internal/network", Recv: "Network", Func: "Step"}
-	if r != want {
-		t.Errorf("got %+v, want %+v", r, want)
-	}
-	if r.String() != "flov/internal/network.Network.Step" {
-		t.Errorf("String round-trip broke: %s", r.String())
-	}
-
-	r, err = ParseRoot("flov/internal/routing.YX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (r != RootSpec{Pkg: "flov/internal/routing", Func: "YX"}) {
-		t.Errorf("plain function spec parsed wrong: %+v", r)
-	}
-
-	if _, err := ParseRoot("flov/internal/network.A.B.C"); err == nil {
-		t.Error("four-part spec should be rejected")
-	}
-}
-
 // TestDefaultReachRootsResolve loads the real simulator packages and
 // checks every built-in root still names a live function — the guard
 // against the root list rotting as the code moves.

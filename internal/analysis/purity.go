@@ -60,13 +60,18 @@ func DefaultPurityBoundaries() []RootSpec {
 
 // DefaultPurityAllow returns the state a quiescent FLOV router may
 // touch: its own latch/wake FSM fields, the delay-queue internals every
-// port operation goes through, the power ledger's dynamic-energy
-// accumulators (latch traversals and handshakes are real energy), and
-// the per-packet hop counters a latched flit carries with it.
+// port operation goes through, the wake calendar's bitsets, the power
+// ledger's dynamic-energy accumulators (latch traversals and handshakes
+// are real energy), and the per-packet hop counters a latched flit
+// carries with it.
 func DefaultPurityAllow() []string {
 	return []string{
 		"flov/internal/core.flovRouter.*",
 		"flov/internal/sim.Delay.*",
+		// Filing a consumer is part of pushing onto a link, which the
+		// Delay entry already allows; the calendar is derived state and
+		// never captured in snapshots.
+		"flov/internal/sim.Calendar.due",
 		"flov/internal/power.Ledger.dynPJ",
 		"flov/internal/noc.Packet.LinkHops",
 		"flov/internal/noc.Packet.FLOVHops",

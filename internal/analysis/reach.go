@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/types"
 	"strings"
 )
@@ -32,27 +31,12 @@ type RootSpec struct {
 	Func string
 }
 
-// String renders the spec in the "pkg.Recv.Func" form ParseRoot reads.
+// String renders the spec in "pkg.Recv.Func" form.
 func (r RootSpec) String() string {
 	if r.Recv == "" {
 		return r.Pkg + "." + r.Func
 	}
 	return r.Pkg + "." + r.Recv + "." + r.Func
-}
-
-// ParseRoot parses "pkg/path.Func" or "pkg/path.Recv.Func". Pointer
-// receivers need no marker: Recv matches the base type name.
-func ParseRoot(s string) (RootSpec, error) {
-	slash := strings.LastIndex(s, "/")
-	rest := s[slash+1:]
-	parts := strings.Split(rest, ".")
-	switch len(parts) {
-	case 2:
-		return RootSpec{Pkg: s[:slash+1] + parts[0], Func: parts[1]}, nil
-	case 3:
-		return RootSpec{Pkg: s[:slash+1] + parts[0], Recv: parts[1], Func: parts[2]}, nil
-	}
-	return RootSpec{}, fmt.Errorf("analysis: root %q is not pkg.Func or pkg.Recv.Func", s)
 }
 
 // DefaultReachRoots returns the simulator's entry points: the per-cycle

@@ -9,6 +9,7 @@ import (
 	"flov/internal/power"
 	"flov/internal/router"
 	"flov/internal/routing"
+	"flov/internal/sim"
 	"flov/internal/topology"
 )
 
@@ -200,11 +201,21 @@ func (w *flovRouter) relayOrBounce(from topology.Direction, m Msg) {
 
 // --- per-cycle behaviour ----------------------------------------------
 
-// transition switches the power state, notifying the mechanism's
-// optional observer (event tracing and tests).
+// transition switches the power state, keeping the mechanism's sleeping
+// count and the wrapped pipeline's power flag in step, and notifies the
+// mechanism's optional observer (event tracing and tests). The pipeline
+// runs in Active and Draining only; the new state holds from the next
+// cycle on.
 func (w *flovRouter) transition(to PowerState) {
 	from := w.state
 	w.state = to
+	if from == Sleep {
+		w.mech.sleeping--
+	}
+	if to == Sleep {
+		w.mech.sleeping++
+	}
+	w.r.SetDark(w.now+1, to == Sleep || to == Wakeup)
 	if w.mech.OnTransition != nil {
 		w.mech.OnTransition(w.now, w.id, from, to)
 	}
@@ -216,7 +227,7 @@ func (w *flovRouter) transition(to PowerState) {
 // recover via their own transition timeouts and the escape heuristics).
 func (w *flovRouter) Tick(now int64) {
 	w.now = now
-	if w.r.Frozen {
+	if w.r.Frozen() {
 		return
 	}
 	switch w.state {
@@ -229,15 +240,58 @@ func (w *flovRouter) Tick(now int64) {
 		w.sendOwedDones(now)
 		w.tickDraining(now)
 	case Sleep:
-		if w.sleepIdle(now) {
-			if assert.On {
-				w.assertSleepIdleTick(now)
-			}
-			return
-		}
 		w.tickSleep(now)
 	case Wakeup:
 		w.tickWakeup(now)
+	}
+}
+
+// due returns the earliest cycle from now on at which a visit can act,
+// given the state a visit left behind:
+//   - now while the router holds owed work: Draining and Wakeup (their
+//     handshakes and timeouts run every cycle), full latches, owed
+//     drain_dones, buffered flits, a busy NI (it keeps lastLocal fresh),
+//     an unconsumed wake flag, or a sleeping router's wake trigger past
+//     its backoff;
+//   - otherwise the first of its pending timers and the ready cycle of
+//     its next input. The timers are the drain attempt of an Active
+//     router with a gated core (retryAt and lastLocal+IdleThreshold) and
+//     the end of a sleeping router's backoff with a wake trigger up.
+//
+// A sleeping router never drains its Local control queue, so that queue
+// does not count while it sleeps. Everything else that can make the
+// router act — a message, a gating or fault change, a restore — files
+// it anew.
+func (w *flovRouter) due(now int64) int64 {
+	if w.r.Frozen() {
+		return sim.Never
+	}
+	switch w.state {
+	case Draining, Wakeup:
+		return now
+	case Sleep:
+		if !w.latchesEmpty() {
+			return now
+		}
+		t := w.r.NextArrival(false)
+		if !w.coreGated || w.wantWake {
+			if now >= w.retryAt {
+				return now // wakes unless a draining partner defers it
+			}
+			t = min(t, w.retryAt)
+		}
+		return max(t, now)
+	default: // Active
+		if w.owed > 0 || w.wantWake || !w.r.BuffersEmpty() || w.localBusy() {
+			return now
+		}
+		t := w.r.Due(now)
+		if w.coreGated && !w.neverGate {
+			if at := max(w.retryAt, w.lastLocal+int64(w.cfg.IdleThreshold)); at >= now {
+				t = min(t, at)
+			}
+		}
+		return t
 	}
 }
 
@@ -471,45 +525,6 @@ func (w *flovRouter) tickSleep(now int64) {
 			}
 		}
 		w.startWakeup(now)
-	}
-}
-
-// sleepIdle reports whether tickSleep at now would be a no-op: every
-// latch is empty, nothing becomes visible on an input it drains (link
-// control queues, every flit queue), and no wake trigger can fire. A
-// sleeping router never drains its Local control queue, so credits left
-// there do not count. Channel latency is at least one cycle, so nothing
-// a neighbor pushes during this cycle is Ready at now.
-func (w *flovRouter) sleepIdle(now int64) bool {
-	if now >= w.retryAt && (!w.coreGated || w.wantWake) {
-		return false
-	}
-	if !w.latchesEmpty() {
-		return false
-	}
-	for d := 0; d < topology.NumLinkDirs; d++ {
-		p := &w.r.Ports[d]
-		if p.InCtrl != nil && p.InCtrl.Ready(now) || p.InFlit != nil && p.InFlit.Ready(now) {
-			return false
-		}
-	}
-	q := w.r.Ports[topology.Local].InFlit
-	return q == nil || !q.Ready(now)
-}
-
-// assertSleepIdleTick (flovdebug builds) runs tickSleep on a router that
-// sleepIdle declared idle and fails if the tick changed its FSM, PSRs,
-// latches, handshake bookkeeping, wake requests or any of its port
-// queues. It runs on every idle sleeping router-cycle, so it compares
-// allocation-free digests rather than CaptureState copies.
-func (w *flovRouter) assertSleepIdleTick(now int64) {
-	want, wantQueued := w.stateDigest(), w.r.LinkQueueLens()
-	w.tickSleep(now)
-	if w.stateDigest() != want {
-		assert.Failf("flov %d: idle sleep tick at cycle %d changed router state", w.id, now)
-	}
-	if got := w.r.LinkQueueLens(); got != wantQueued {
-		assert.Failf("flov %d: idle sleep tick at cycle %d moved link queues %v -> %v", w.id, now, wantQueued, got)
 	}
 }
 

@@ -11,6 +11,15 @@ import (
 	"flov/internal/topology"
 )
 
+// idleAt reports whether a visit to the router at now can do nothing:
+// it is not due before a later cycle.
+func idleAt(w *flovRouter, now int64) bool { return w.due(now) > now }
+
+// poked files every component for the current cycle after a test wrote
+// router state directly or called the mechanism's OnGatingChange, which
+// the wake calendar cannot see.
+func poked(n *network.Network) { n.FileAll(n.Now()) }
+
 // sleepingNet gates one interior core of a gFLOV network and steps until
 // its router sleeps with nothing in flight around it.
 func sleepingNet(t *testing.T) (*network.Network, *Mechanism, *flovRouter) {
@@ -30,17 +39,17 @@ func sleepingNet(t *testing.T) (*network.Network, *Mechanism, *flovRouter) {
 		t.Fatal(err)
 	}
 	w := mech.ws[id]
-	for i := 0; i < 500 && (w.state != Sleep || !w.sleepIdle(n.Now())); i++ {
+	for i := 0; i < 500 && (w.state != Sleep || !idleAt(w, n.Now())); i++ {
 		n.Step()
 	}
-	if w.state != Sleep || !w.sleepIdle(n.Now()) {
+	if w.state != Sleep || !idleAt(w, n.Now()) {
 		t.Fatalf("router %d never reached an idle Sleep (state %v)", id, w.state)
 	}
 	return n, mech, w
 }
 
-// The OS waking the core breaks sleep-idleness at once, and the next
-// cycle starts the wakeup.
+// The OS waking the core makes the sleeping router due at once, and the
+// next cycle starts the wakeup.
 func TestCoreWakeBreaksSleepIdle(t *testing.T) {
 	n, mech, w := sleepingNet(t)
 	now := n.Now()
@@ -48,16 +57,18 @@ func TestCoreWakeBreaksSleepIdle(t *testing.T) {
 		t.Fatalf("test wants the retry window closed: now %d, retryAt %d", now, w.retryAt)
 	}
 	mech.OnGatingChange(now, make([]bool, n.Cfg.N()))
-	if w.sleepIdle(now) {
+	poked(n)
+	if idleAt(w, now) {
 		t.Fatal("sleeping router idle after its core woke")
 	}
 	// The trigger mirrors tickSleep's: an ungated core breaks idleness
 	// on its own, without the wake flag OnGatingChange also raises.
 	w.wantWake = false
-	if w.sleepIdle(now) {
+	if idleAt(w, now) {
 		t.Fatal("sleeping router with an ungated core idle")
 	}
 	w.wantWake = true
+	poked(n)
 	n.Step()
 	if w.state != Wakeup {
 		t.Fatalf("router did not start waking: %v", w.state)
@@ -83,10 +94,10 @@ func testWakeTarget(t *testing.T, deferred bool) {
 		t.Fatalf("test wants the retry window closed: now %d, retryAt %d", now, w.retryAt)
 	}
 	w.r.Ports[topology.West].InCtrl.Push(now, router.CtrlSignal(Msg{Type: MsgWakeTarget, From: w.physID[topology.West], To: -1, Target: w.id}))
-	if !w.sleepIdle(now) {
+	if !idleAt(w, now) {
 		t.Fatal("wake request broke idleness before it is visible")
 	}
-	if w.sleepIdle(now + 1) {
+	if idleAt(w, now+1) {
 		t.Fatal("sleeping router idle with a wake request ready")
 	}
 	n.Step()
@@ -95,14 +106,16 @@ func testWakeTarget(t *testing.T, deferred bool) {
 	}
 	if deferred {
 		w.logState[topology.East] = Draining
+		poked(n)
 		n.Step()
 		if w.state != Sleep || !w.wantWake {
 			t.Fatalf("deferred wake request lost: state %v wantWake %v", w.state, w.wantWake)
 		}
-		if w.sleepIdle(n.Now()) {
+		if idleAt(w, n.Now()) {
 			t.Fatal("sleeping router idle with a deferred wake request")
 		}
 		w.logState[topology.East] = Active
+		poked(n)
 	}
 	n.Step()
 	if !w.wantWake || w.state != Wakeup {
@@ -118,8 +131,9 @@ func TestRetryAtBoundaryNotSkipped(t *testing.T) {
 	retry := n.Now() + 5
 	w.retryAt = retry
 	w.wantWake = true
+	poked(n)
 	for n.Now() < retry {
-		if !w.sleepIdle(n.Now()) {
+		if !idleAt(w, n.Now()) {
 			t.Fatalf("router not idle at cycle %d inside the backoff window", n.Now())
 		}
 		n.Step()
@@ -127,7 +141,7 @@ func TestRetryAtBoundaryNotSkipped(t *testing.T) {
 			t.Fatalf("router left Sleep at cycle %d before retryAt %d", n.Now()-1, retry)
 		}
 	}
-	if w.sleepIdle(retry) {
+	if idleAt(w, retry) {
 		t.Fatal("retryAt cycle skipped")
 	}
 	n.Step()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flov/internal/assert"
 	"flov/internal/network"
 	"flov/internal/nlog"
 	"flov/internal/power"
@@ -18,6 +19,7 @@ type Mechanism struct {
 	net         *network.Network //flovsnap:skip wiring installed by Attach
 	ledger      *power.Ledger    //flovsnap:skip wiring installed by Attach
 	ws          []*flovRouter
+	sleeping    int // routers in Sleep, kept by transition //flovsnap:skip derived from the router power states; RestoreState recounts it
 }
 
 // NewRFLOV returns the restricted-FLOV mechanism: no two consecutive
@@ -74,13 +76,20 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 	}
 }
 
-// TickRouters advances every FLOV router (full pipeline, draining
-// pipeline, latch datapath, or wakeup) one cycle.
-func (m *Mechanism) TickRouters(now int64) {
-	for _, w := range m.ws {
-		w.Tick(now)
-	}
+// TickRouter advances FLOV router id (full pipeline, draining pipeline,
+// latch datapath, or wakeup) one cycle and returns its next due cycle.
+func (m *Mechanism) TickRouter(id int, now int64) int64 {
+	w := m.ws[id]
+	w.Tick(now)
+	return w.due(now + 1)
 }
+
+// FinishRouters has nothing to do: FLOV has no central coordination.
+func (m *Mechanism) FinishRouters(now int64) {}
+
+// RouterDigest folds router id's wrapper state into one digest (the
+// network's flovdebug cross-check of skipped ticks).
+func (m *Mechanism) RouterDigest(id int) assert.Digest { return m.ws[id].stateDigest() }
 
 // CanInject allows injection whenever the node's own router pipeline is
 // powered. FLOV never stalls the network globally — only a locally
@@ -93,14 +102,23 @@ func (m *Mechanism) CanInject(node int) bool {
 // RouterPowerCounts: Sleep routers burn residual leakage; Active,
 // Draining and Wakeup routers burn full leakage.
 func (m *Mechanism) RouterPowerCounts() (on, gated int) {
-	for _, w := range m.ws {
-		if w.state == Sleep {
-			gated++
-		} else {
-			on++
+	if assert.On {
+		if n := m.countSleeping(); n != m.sleeping {
+			assert.Failf("flov: sleeping counter %d, recount %d", m.sleeping, n)
 		}
 	}
-	return on, gated
+	return len(m.ws) - m.sleeping, m.sleeping
+}
+
+// countSleeping recounts the routers in Sleep.
+func (m *Mechanism) countSleeping() int {
+	n := 0
+	for _, w := range m.ws {
+		if w.state == Sleep {
+			n++
+		}
+	}
+	return n
 }
 
 // RouterOn reports whether router id's pipeline is powered.

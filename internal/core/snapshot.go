@@ -110,6 +110,11 @@ func (m *Mechanism) RestoreState(s State, pkts []*noc.Packet) error {
 		if len(rs.Latch) != len(rs.LatchDir) || len(rs.WakeTargets) != len(rs.WakeCycles) {
 			return fmt.Errorf("core: router %d snapshot has misaligned parallel lists", id)
 		}
+		for _, ps := range append(append([]PowerState{rs.State}, rs.PhysState...), rs.LogState...) {
+			if ps > Wakeup {
+				return fmt.Errorf("core: router %d snapshot has invalid power state %d", id, ps)
+			}
+		}
 		w := m.ws[id]
 		w.state = rs.State
 		w.coreGated = rs.CoreGated
@@ -146,6 +151,8 @@ func (m *Mechanism) RestoreState(s State, pkts []*noc.Packet) error {
 		w.wakeAborts = rs.WakeAborts
 		w.latchTraversals = rs.LatchTraversals
 		w.sleepTraversals = rs.SleepTraversals
+		w.r.SetDark(m.net.Now(), w.state == Sleep || w.state == Wakeup)
 	}
+	m.sleeping = m.countSleeping()
 	return nil
 }

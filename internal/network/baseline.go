@@ -35,12 +35,15 @@ func (b *BaselineMech) Attach(n *Network) {
 // OnGatingChange ignores core gating: baseline routers never power down.
 func (b *BaselineMech) OnGatingChange(now int64, gated []bool) {}
 
-// TickRouters advances every router's full pipeline.
-func (b *BaselineMech) TickRouters(now int64) {
-	for _, r := range b.n.Routers {
-		r.Tick(now)
-	}
+// TickRouter advances router id's full pipeline.
+func (b *BaselineMech) TickRouter(id int, now int64) int64 {
+	r := b.n.Routers[id]
+	r.Tick(now)
+	return r.Due(now + 1)
 }
+
+// FinishRouters has nothing to do: the baseline has no protocol state.
+func (b *BaselineMech) FinishRouters(now int64) {}
 
 // CanInject always allows injection.
 func (b *BaselineMech) CanInject(node int) bool { return true }

@@ -83,11 +83,13 @@ func (n *Network) stepFaults(now int64) {
 // applyFaultChange re-syncs derived state after the injector's fault set
 // changed: router freeze flags, committed-but-unallocated routes (they
 // may now point at dead hardware, or a healed link may offer a better
-// path), and any mechanism routing tables.
+// path), and any mechanism routing tables. Every component is filed:
+// a thawed router, or one whose routes changed, may act at once.
 func (n *Network) applyFaultChange(now int64) {
 	for id, r := range n.Routers {
-		r.Frozen = !n.Faults.RouterUp(id)
+		r.SetFrozen(now, !n.Faults.RouterUp(id))
 	}
+	n.cal.FileAll(now)
 	for _, r := range n.Routers {
 		for d := topology.Direction(0); d < topology.NumLinkDirs; d++ {
 			r.ReRoute(d)

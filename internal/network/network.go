@@ -32,9 +32,16 @@ type Mechanism interface {
 	Attach(n *Network)
 	// OnGatingChange delivers a new core-gating mask (from the schedule).
 	OnGatingChange(now int64, gated []bool)
-	// TickRouters advances all routers one cycle, including whatever
-	// datapath a power-gated router still runs (FLOV latches).
-	TickRouters(now int64)
+	// TickRouter advances router id one cycle, including whatever
+	// datapath a power-gated router still runs (FLOV latches). It returns
+	// the earliest later cycle at which the router must be visited again
+	// even if nothing new is pushed to it: the next cycle while it holds
+	// owed work, a pending timer, the ready cycle of input it has yet to
+	// take, or sim.Never.
+	TickRouter(id int, now int64) int64
+	// FinishRouters runs once per cycle after the router visits (Router
+	// Parking commits its reconfigurations here).
+	FinishRouters(now int64)
 	// CanInject reports whether node id may inject flits this cycle
 	// (Router Parking stalls injection during reconfiguration).
 	CanInject(node int) bool
@@ -76,6 +83,10 @@ type Network struct {
 	// InjectHook, when set, replaces synthetic generation (closed-loop
 	// drivers enqueue packets themselves each cycle).
 	InjectHook func(now int64) //flovsnap:skip wiring reinstalled by the closed-loop driver on restore
+
+	// cal is the wake calendar over component ids: router id is id, NI
+	// id is N()+id. Step visits only the ids filed for the cycle.
+	cal *sim.Calendar //flovsnap:skip derived wake schedule; RestoreState files every component
 
 	rng           *sim.RNG
 	faultSpecJSON string // canonical fault spec (snapshot compatibility)
@@ -125,17 +136,20 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 		nextPkt:  1,
 	}
 
-	// Routers and NIs.
+	// Routers and NIs. The calendar's horizon is the longest push: a
+	// flit link, or a control signal relayed through a sleeping FLOV
+	// router (latency 1 plus one registered cycle).
+	n.cal = sim.NewCalendar(2*cfg.N(), max(cfg.LinkLatency, 2))
 	n.Routers = make([]*router.Router, cfg.N())
 	n.NIs = make([]*NI, cfg.N())
 	for id := 0; id < cfg.N(); id++ {
 		n.Routers[id] = router.New(id, cfg, mesh, ledger)
-		n.NIs[id] = newNI(id, cfg, st)
+		n.NIs[id] = newNI(id, cfg, st, n.cal)
 	}
 
 	// Inter-router channels: for each directed adjacency, one flit queue
 	// (latency LinkLatency) and one control queue (latency 1) flowing the
-	// opposite way.
+	// opposite way. Each queue files its consumer in the calendar.
 	for id := 0; id < cfg.N(); id++ {
 		for d := topology.Direction(0); d < topology.NumLinkDirs; d++ {
 			nb := mesh.Neighbor(id, d)
@@ -143,7 +157,9 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 				continue
 			}
 			flitQ := sim.NewDelay[*noc.Flit](cfg.LinkLatency)
+			flitQ.SetConsumer(n.cal, nb)
 			ctrlQ := sim.NewDelay[router.Signal](1)
+			ctrlQ.SetConsumer(n.cal, id)
 			n.Routers[id].Ports[d].OutFlit = flitQ
 			n.Routers[id].Ports[d].InCtrl = ctrlQ
 			opp := d.Opposite()
@@ -158,6 +174,10 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 		ej := sim.NewDelay[*noc.Flit](1)
 		credUp := sim.NewDelay[router.Signal](1)   // router -> NI
 		credDown := sim.NewDelay[router.Signal](1) // NI -> router
+		inj.SetConsumer(n.cal, id)
+		credDown.SetConsumer(n.cal, id)
+		ej.SetConsumer(n.cal, cfg.N()+id)
+		credUp.SetConsumer(n.cal, cfg.N()+id)
 		r := n.Routers[id]
 		r.Ports[topology.Local].InFlit = inj
 		r.Ports[topology.Local].OutFlit = ej
@@ -187,9 +207,21 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 	}
 
 	mech.Attach(n)
-	mech.OnGatingChange(0, n.gatedMask)
+	n.gatingChanged(0)
 	return n, nil
 }
+
+// gatingChanged hands the current gating mask to the mechanism and files
+// every component: any router may react to its core's new state.
+func (n *Network) gatingChanged(now int64) {
+	n.Mech.OnGatingChange(now, n.gatedMask)
+	n.cal.FileAll(now)
+}
+
+// FileAll files every router and NI for a visit at cycle at. Mechanisms
+// call it after changing router state outside a router's own visit
+// (Router Parking's reconfiguration).
+func (n *Network) FileAll(at int64) { n.cal.FileAll(at) }
 
 // countGated counts set entries in a gating mask.
 func countGated(mask []bool) int {
@@ -261,7 +293,7 @@ func (n *Network) Step() {
 			if n.Trace != nil {
 				n.Trace.Addf(now, nlog.KGating, -1, "mask changed: %d cores gated", countGated(n.gatedMask)) //flovlint:allow hotalloc -- opt-in tracing of gating-change events
 			}
-			n.Mech.OnGatingChange(now, n.gatedMask)
+			n.gatingChanged(now)
 		}
 	}
 
@@ -273,7 +305,7 @@ func (n *Network) Step() {
 
 	// 3. Traffic generation.
 	if n.Gen != nil && now < n.genStop {
-		for id := 0; id < n.Cfg.N(); id++ {
+		for id, ni := range n.NIs {
 			if n.gatedMask[id] || !n.injectors[id].ShouldInject() {
 				continue
 			}
@@ -281,19 +313,42 @@ func (n *Network) Step() {
 			if dst < 0 {
 				continue
 			}
-			n.NIs[id].Enqueue(n.NewPacket(id, dst, 0, n.Cfg.PacketSize))
+			ni.Enqueue(n.NewPacket(id, dst, 0, n.Cfg.PacketSize))
 		}
 	}
 	if n.InjectHook != nil {
 		n.InjectHook(now)
 	}
 
-	// 4. Routers (mechanism-specific: gated routers run latch datapaths).
-	n.Mech.TickRouters(now)
-
-	// 5. Network interfaces.
-	for _, ni := range n.NIs {
+	// 4. Routers filed for this cycle (mechanism-specific: gated routers
+	// run latch datapaths), then 5. network interfaces. Both walks re-read
+	// the calendar, so a component filed for this cycle mid-walk at a
+	// higher id still runs.
+	nr := len(n.Routers)
+	from := 0
+	for id := n.cal.Next(0, nr); id >= 0; id = n.cal.Next(id+1, nr) {
+		if assert.On {
+			n.checkSkipped(from, id, now)
+		}
+		n.cal.File(id, n.Mech.TickRouter(id, now))
+		from = id + 1
+	}
+	if assert.On {
+		n.checkSkipped(from, nr, now)
+	}
+	n.Mech.FinishRouters(now)
+	from = nr
+	for id := n.cal.Next(nr, 2*nr); id >= 0; id = n.cal.Next(id+1, 2*nr) {
+		if assert.On {
+			n.checkSkipped(from, id, now)
+		}
+		ni := n.NIs[id-nr]
 		ni.Tick(now)
+		n.cal.File(id, ni.due(now+1))
+		from = id + 1
+	}
+	if assert.On {
+		n.checkSkipped(from, 2*nr, now)
 	}
 
 	// 6. Leakage integration.
@@ -306,7 +361,41 @@ func (n *Network) Step() {
 		n.CheckInvariants()
 	}
 
+	n.cal.Advance()
 	n.now++
+}
+
+// routerDigester is implemented by mechanisms that keep per-router state
+// of their own (FLOV); the skipped-tick cross-check folds it in.
+type routerDigester interface {
+	RouterDigest(id int) assert.Digest
+}
+
+// checkSkipped (flovdebug builds) runs the full tick of every component
+// in [from, to) that the calendar skipped this cycle, and fails if any
+// tick changed state beyond what the lazy input-pointer accounting
+// owes. Channel latency is at least one cycle, so the tick sees exactly
+// what it would have seen at the component's place in the walk.
+func (n *Network) checkSkipped(from, to int, now int64) {
+	nr := len(n.Routers)
+	dg, _ := n.Mech.(routerDigester)
+	for id := from; id < to; id++ {
+		if id >= nr {
+			n.NIs[id-nr].checkSkip(now)
+			continue
+		}
+		r := n.Routers[id]
+		probe := r.ProbeSkip()
+		var mech assert.Digest
+		if dg != nil {
+			mech = dg.RouterDigest(id)
+		}
+		n.Mech.TickRouter(id, now)
+		r.CheckSkip(probe, now)
+		if dg != nil && dg.RouterDigest(id) != mech {
+			assert.Failf("%s router %d: skipped tick at cycle %d changed mechanism state", n.Mech.Name(), id, now)
+		}
+	}
 }
 
 // StopGeneration ends synthetic traffic generation at the given cycle.
@@ -324,7 +413,7 @@ func (n *Network) SetGatingMask(mask []bool) {
 	if n.Gen != nil {
 		n.Gen.SetActive(n.activeMask())
 	}
-	n.Mech.OnGatingChange(n.now, n.gatedMask)
+	n.gatingChanged(n.now)
 }
 
 // Drained reports whether no packets remain anywhere: source queues,

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"flov/internal/assert"
 	"flov/internal/config"
 	"flov/internal/nlog"
 	"flov/internal/noc"
@@ -39,6 +40,9 @@ type NI struct {
 	Stats *stats.Collector //flovsnap:skip aliases the network-level collector, captured once there
 	// Trace, when set, records packet deliveries.
 	Trace *nlog.Log //flovsnap:skip opt-in observability ring, not simulation state
+
+	cal   *sim.Calendar //flovsnap:skip the network's wake calendar, wired by network.New
+	calID int           //flovsnap:skip the NI's calendar id, fixed at construction
 }
 
 // txState tracks one packet being serialized into the router. The NI
@@ -50,8 +54,9 @@ type txState struct {
 	vc    int
 }
 
-// newNI builds an NI; the caller wires channels via Connect.
-func newNI(id int, cfg config.Config, st *stats.Collector) *NI {
+// newNI builds an NI filed in cal under id N()+id; the caller wires
+// channels via Connect.
+func newNI(id int, cfg config.Config, st *stats.Collector, cal *sim.Calendar) *NI {
 	vnets := cfg.VNets
 	return &NI{
 		ID:      id,
@@ -60,6 +65,8 @@ func newNI(id int, cfg config.Config, st *stats.Collector) *NI {
 		sending: make([]txState, vnets),
 		out:     noc.NewOutputVCState(cfg.VCsTotal(), cfg.BufferDepth, true),
 		Stats:   st,
+		cal:     cal,
+		calID:   cfg.N() + id,
 	}
 }
 
@@ -78,6 +85,14 @@ func (ni *NI) Enqueue(p *noc.Packet) {
 		panic(fmt.Sprintf("ni %d: packet %d has invalid vnet %d", ni.ID, p.ID, p.VNet))
 	}
 	ni.queues[p.VNet] = append(ni.queues[p.VNet], p)
+	// A busy NI has work, and its router watches a busy NI (FLOV's idle
+	// timer). Both run this cycle if the walk has not passed them yet,
+	// and the next cycle either way.
+	now := ni.cal.Now()
+	for _, id := range [2]int{ni.calID, ni.ID} {
+		ni.cal.File(id, now)
+		ni.cal.File(id, now+1)
+	}
 }
 
 // QueueLen returns the number of packets waiting (all vnets), excluding
@@ -143,12 +158,7 @@ func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 }
 
 // Tick processes credits, ejects arrivals, and injects at most one flit.
-// An NI with no visible credit or flit and nothing queued or mid-
-// injection returns at once: every step below would be a no-op.
 func (ni *NI) Tick(now int64) {
-	if !ni.credIn.Ready(now) && !ni.recvFlit.Ready(now) && !ni.Busy() {
-		return
-	}
 	for ni.credIn.Ready(now) {
 		if s, _ := ni.credIn.Pop(now); s.IsCredit {
 			ni.out.Return(s.VC)
@@ -160,6 +170,58 @@ func (ni *NI) Tick(now int64) {
 	}
 
 	ni.inject(now)
+}
+
+// due returns the earliest cycle from now on at which a tick can act:
+// now while a packet is queued or mid-injection, otherwise the first
+// cycle a credit or flit becomes visible (sim.Never with both queues
+// empty).
+func (ni *NI) due(now int64) int64 {
+	if ni.Busy() {
+		return now
+	}
+	return max(min(ni.credIn.NextReady(), ni.recvFlit.NextReady()), now)
+}
+
+// checkSkip (flovdebug builds) runs the full tick of an NI the calendar
+// skipped at now and fails if it changed the NI or its channels.
+func (ni *NI) checkSkip(now int64) {
+	want, wantQueued := ni.stateDigest(), ni.queueLens()
+	ni.Tick(now)
+	if ni.stateDigest() != want {
+		assert.Failf("ni %d: skipped tick at cycle %d changed state", ni.ID, now)
+	}
+	if got := ni.queueLens(); got != wantQueued {
+		assert.Failf("ni %d: skipped tick at cycle %d moved channels %v -> %v", ni.ID, now, wantQueued, got)
+	}
+}
+
+// stateDigest folds what CaptureState records into one digest, without
+// allocating (see router.stateDigest).
+//
+//go:norace
+func (ni *NI) stateDigest() assert.Digest {
+	var h assert.Digest
+	for v, q := range ni.queues {
+		h.Add(int64(len(q)))
+		tx := &ni.sending[v]
+		h.AddBool(tx.pkt != nil)
+		h.Add(int64(tx.next))
+		h.Add(int64(tx.vc))
+	}
+	for vc, c := range ni.out.Credits {
+		h.Add(int64(c))
+		h.AddBool(ni.out.Allocated[vc])
+	}
+	h.Add(int64(ni.vnetRR))
+	return h
+}
+
+// queueLens returns the lengths of the NI's four channels.
+//
+//go:norace
+func (ni *NI) queueLens() [4]int {
+	return [4]int{ni.sendFlit.Len(), ni.recvFlit.Len(), ni.credIn.Len(), ni.credOut.Len()}
 }
 
 // eject consumes one arriving flit, returning its buffer credit and

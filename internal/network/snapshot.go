@@ -49,6 +49,11 @@ func (ni *NI) CaptureState(t *noc.PacketTable) NIState {
 	return s
 }
 
+// maxTrainFlits bounds the packet size a restored injection train may
+// claim: a longer one is corruption, and rebuilding it would allocate
+// without limit.
+const maxTrainFlits = 1 << 16
+
 // RestoreState overwrites the NI's mutable state. In-flight flit trains
 // are rebuilt from the packet; flits already injected (index < next)
 // live in router buffers or on links and are restored there, so the
@@ -59,6 +64,19 @@ func (ni *NI) RestoreState(s NIState, pkts []*noc.Packet) error {
 	}
 	if len(s.Out.Credits) != len(ni.out.Credits) {
 		return fmt.Errorf("ni %d: snapshot has %d VCs, NI has %d", ni.ID, len(s.Out.Credits), len(ni.out.Credits))
+	}
+	for v, tx := range s.Sending {
+		if !tx.Present {
+			continue
+		}
+		// The train is rebuilt as one slab of pkt.Size flits, cut at a
+		// flit boundary, on a VC the NI has.
+		pkt := pkts[tx.Pkt]
+		if pkt.Size < 1 || pkt.Size > maxTrainFlits || tx.Next < 0 || tx.Next > pkt.Size ||
+			tx.VC < 0 || tx.VC >= len(ni.out.Credits) {
+			return fmt.Errorf("ni %d vnet %d: snapshot train of packet size %d at flit %d on vc %d is invalid",
+				ni.ID, v, pkt.Size, tx.Next, tx.VC)
+		}
 	}
 	for v := range ni.queues {
 		ni.queues[v] = ni.queues[v][:0]
@@ -132,6 +150,7 @@ func (n *Network) CaptureState(t *noc.PacketTable) State {
 		s.InjectorRNGs = append(s.InjectorRNGs, inj.RNGState())
 	}
 	for _, r := range n.Routers {
+		r.Settle(n.now)
 		s.Routers = append(s.Routers, r.CaptureState(t))
 	}
 	for _, ni := range n.NIs {
@@ -143,7 +162,8 @@ func (n *Network) CaptureState(t *noc.PacketTable) State {
 // RestoreState overwrites the network's mutable state. The receiver must
 // have been built from the same config, mechanism and workload shape
 // (package snapshot verifies that before calling). Derived state that
-// follows the gating mask (the generator's active list) is rebuilt here;
+// follows the gating mask (the generator's active list) is rebuilt here,
+// and the wake calendar files every component for the restored cycle;
 // mechanism-internal state is restored separately by its own section.
 func (n *Network) RestoreState(s State, pkts []*noc.Packet) error {
 	if len(s.Routers) != len(n.Routers) || len(s.NIs) != len(n.NIs) {
@@ -166,6 +186,7 @@ func (n *Network) RestoreState(s State, pkts []*noc.Packet) error {
 		if err := r.RestoreState(s.Routers[id], pkts); err != nil {
 			return err
 		}
+		r.ResumeAt(s.Now)
 	}
 	for id, ni := range n.NIs {
 		if err := ni.RestoreState(s.NIs[id], pkts); err != nil {
@@ -194,8 +215,10 @@ func (n *Network) RestoreState(s State, pkts []*noc.Packet) error {
 		// Frozen is derived from the injector; router.State does not carry
 		// it.
 		for id, r := range n.Routers {
-			r.Frozen = !n.Faults.RouterUp(id)
+			r.SetFrozen(n.now, !n.Faults.RouterUp(id))
 		}
 	}
+	n.cal.Reset(n.now)
+	n.cal.FileAll(n.now)
 	return nil
 }

@@ -8,9 +8,14 @@ import (
 	"flov/internal/topology"
 )
 
+// idleAt reports whether a tick at now can do no more than step the
+// input pointers: the router is not due before a later cycle.
+func idleAt(r *Router, now int64) bool { return r.Due(now) > now }
+
 // A flit queued on a link but not yet visible leaves the router idle up
-// to its ready cycle; idle ticks move only the input round-robin
-// pointers, and the flit is received on the ready cycle itself.
+// to its ready cycle, which is when it is due; idle ticks move only the
+// input round-robin pointers, and the flit is received on the ready
+// cycle itself.
 func TestIdleUntilQueuedFlitIsReady(t *testing.T) {
 	h := newHarness(t, config.Default())
 	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 1}
@@ -18,7 +23,7 @@ func TestIdleUntilQueuedFlitIsReady(t *testing.T) {
 	h.localIn.PushAfter(0, 3, f) // latency 1 + 3: visible at cycle 4
 
 	for ; h.now < 4; h.step() {
-		if !h.r.idle(h.now) {
+		if !idleAt(h.r, h.now) {
 			t.Fatalf("router not idle at cycle %d with the flit still on the link", h.now)
 		}
 	}
@@ -27,8 +32,8 @@ func TestIdleUntilQueuedFlitIsReady(t *testing.T) {
 			t.Fatalf("port %d input pointer = %d after 4 idle ticks, want 4", p, ptr)
 		}
 	}
-	if h.r.idle(4) {
-		t.Fatal("router idle on the flit's ready cycle")
+	if idleAt(h.r, 4) || h.r.Due(0) != 4 {
+		t.Fatalf("router idle on the flit's ready cycle (due at %d)", h.r.Due(0))
 	}
 	h.step()
 	if h.r.buffered != 1 || h.r.InVC(topology.Local, 0).Len() != 1 {
@@ -43,18 +48,18 @@ func TestCreditArrivalBreaksIdle(t *testing.T) {
 	out.Consume(0)
 	h.eastCred.Push(0, CreditSignal(0))
 
-	if !h.r.idle(0) {
+	if !idleAt(h.r, 0) {
 		t.Fatal("router not idle before the credit is visible")
 	}
 	h.step()
-	if h.r.idle(1) {
+	if idleAt(h.r, 1) {
 		t.Fatal("router idle with a credit ready")
 	}
 	h.step()
 	if out.Credits[0] != out.Depth() {
 		t.Fatalf("credit not processed: %d of %d", out.Credits[0], out.Depth())
 	}
-	if !h.r.idle(2) {
+	if !idleAt(h.r, 2) {
 		t.Fatal("router not idle again once the credit is consumed")
 	}
 }
@@ -77,7 +82,7 @@ func TestActiveVCWithEmptyBufferIsIdle(t *testing.T) {
 		t.Fatalf("head did not leave its allocated VC: state %v, %d buffered", ivc.State, ivc.Len())
 	}
 	h.localCred.Drain(h.now, func(Signal) {}) // upstream credit is not an input of the router
-	if !h.r.idle(h.now) {
+	if !idleAt(h.r, h.now) {
 		t.Fatal("VCActive VC with an empty buffer breaks idleness")
 	}
 	h.step()
@@ -113,5 +118,46 @@ func TestRestoreRecountsBuffered(t *testing.T) {
 	if fresh.r.buffered != fresh.r.countBuffered() || fresh.r.buffered != h.r.buffered {
 		t.Fatalf("restored counter %d, recount %d, original %d",
 			fresh.r.buffered, fresh.r.countBuffered(), h.r.buffered)
+	}
+}
+
+// A router the wake calendar skips owes its input pointers one step per
+// skipped cycle in which it was powered and not frozen. Tick and Settle
+// apply the owed steps, dark and frozen stretches owe none, and a
+// capture right after a restore applies nothing twice.
+func TestLazyInputPointers(t *testing.T) {
+	h := newHarness(t, config.Default())
+	r := h.r
+	want := func(ptr int, when string) {
+		t.Helper()
+		for p, got := range r.inPtr {
+			if got != ptr {
+				t.Fatalf("%s: port %d input pointer %d, want %d", when, p, got, ptr)
+			}
+		}
+	}
+	r.Tick(0)
+	r.Tick(5) // cycles 1-4 skipped
+	want(6, "after ticks at 0 and 5")
+	r.SetDark(8, true) // cycles 6-7 owed under power
+	r.Settle(20)
+	want(8, "through a dark stretch")
+	r.SetDark(20, false)
+	r.SetFrozen(23, true) // cycles 20-22 owed
+	r.Tick(30)            // frozen: no step
+	r.SetFrozen(31, false)
+	r.Settle(35) // cycles 31-34 owed
+	want(15, "after a frozen stretch")
+
+	tab := noc.NewPacketTable()
+	s := r.CaptureState(tab)
+	fresh := newHarness(t, config.Default())
+	if err := fresh.r.RestoreState(s, tab.List); err != nil {
+		t.Fatal(err)
+	}
+	fresh.r.ResumeAt(35)
+	fresh.r.Settle(35)
+	if fresh.r.inPtr != r.inPtr {
+		t.Fatalf("restored pointers %v after a settle at the restore cycle, want %v", fresh.r.inPtr, r.inPtr)
 	}
 }

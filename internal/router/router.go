@@ -109,10 +109,10 @@ type Router struct {
 	// OnDrop observes packets the fault path drops (classified losses):
 	// flits is how many buffered flits were discarded. nil ignores.
 	OnDrop func(pkt *noc.Packet, flits int, now int64) //flovsnap:skip observer hook, not simulation state
-	// Frozen, when true, halts the whole pipeline: a faulted router
+	// frozen, when true, halts the whole pipeline: a faulted router
 	// processes nothing until the fault heals. Links into it still queue
-	// (bounded by credits).
-	Frozen bool
+	// (bounded by credits). SetFrozen is its only writer.
+	frozen bool
 
 	Ledger *power.Ledger //flovsnap:skip wiring installed by network.New
 
@@ -127,6 +127,16 @@ type Router struct {
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
 	inPtr [topology.NumPorts]int
+
+	// The input pointers advance once per cycle the pipeline runs, bid or
+	// no bid, so a router the wake calendar skips owes them one step per
+	// skipped cycle in which it was powered and not frozen. The step is
+	// applied lazily: ptrFrom is the first cycle not yet credited, and
+	// Settle credits the cycles before a given one. dark marks a pipeline
+	// its mechanism has powered off (FLOV Sleep/Wakeup, a parked RP
+	// router), whose skipped cycles owe nothing.
+	ptrFrom int64 //flovsnap:skip settled into inPtr before every capture; ResumeAt restarts it on restore
+	dark    bool  //flovsnap:skip mirrors the mechanism's power state, whose restore sets it
 
 	// buffered counts the flits held in all input VCs, so an idle router
 	// is recognized in O(1): acceptFlit increments it, traverse and
@@ -217,31 +227,21 @@ func (r *Router) Out(d topology.Direction) *noc.OutputVCState { return r.out[d] 
 func (r *Router) InVC(d topology.Direction, vc int) *noc.InputVC { return &r.in[d][vc] }
 
 // Tick advances the router one cycle: control processing, flit receive,
-// then the RC, VA and SA/ST pipeline stages. A Frozen (faulted) router
-// does nothing — its state is preserved until the fault heals. An idle
-// router (see idle) skips the pipeline: the only state a full tick would
-// change is the switch allocator's input round-robin pointers, which
-// advance here exactly as stageSA would advance them.
+// then the RC, VA and SA/ST pipeline stages. It first credits the input
+// pointers with the cycles the router was skipped. A frozen (faulted)
+// router does nothing else — its state is preserved until the fault
+// heals.
 func (r *Router) Tick(now int64) {
-	if r.Frozen {
+	if now > r.ptrFrom {
+		r.Settle(now)
+	}
+	r.ptrFrom = now + 1 // this cycle's step is the pipeline's own
+	if r.frozen {
 		return
 	}
 	if assert.On {
 		r.assertKernelState(now)
 	}
-	if r.idle(now) {
-		if assert.On {
-			r.assertIdleTick(now)
-			return
-		}
-		r.advanceInPtrs()
-		return
-	}
-	r.pipeline(now)
-}
-
-// pipeline runs one full cycle of the router.
-func (r *Router) pipeline(now int64) {
 	r.processCtrl(now)
 	r.receive(now)
 	r.stageRC(now)
@@ -249,53 +249,122 @@ func (r *Router) pipeline(now int64) {
 	r.stageSA(now)
 }
 
-// idle reports whether a full tick at now would be a no-op apart from
-// the input round-robin pointers: no flit is buffered (so RC, VA and SA
-// find no requester) and no credit, control message or flit becomes
-// visible on any input link this cycle. Channel latency is at least one
-// cycle, so nothing a neighbor pushes during this cycle can be Ready at
-// now — the test is sound in any tick order.
-func (r *Router) idle(now int64) bool {
-	if r.buffered != 0 {
-		return false
+// Settle credits the input pointers with one step for every cycle
+// before now not yet credited, unless the pipeline was dark or frozen
+// through them, so they read as if the router had been ticked on each.
+// Capture settles first.
+func (r *Router) Settle(now int64) {
+	if now <= r.ptrFrom {
+		return
 	}
-	for p := range r.Ports {
-		pl := &r.Ports[p]
-		if pl.InCtrl != nil && pl.InCtrl.Ready(now) || pl.InFlit != nil && pl.InFlit.Ready(now) {
-			return false
+	if !r.dark && !r.frozen {
+		step := int(now - r.ptrFrom)
+		for p := range r.inPtr {
+			r.inPtr[p] += step
 		}
 	}
-	return true
+	r.ptrFrom = now
 }
 
-// advanceInPtrs is the whole effect of an idle tick: stageSA moves every
-// input port's round-robin pointer once per cycle, bid or no bid.
-func (r *Router) advanceInPtrs() {
-	for p := range r.inPtr {
-		r.inPtr[p]++
+// ResumeAt restarts the lazy pointer accounting at cycle now with
+// nothing owed: the restored pointers are already settled.
+func (r *Router) ResumeAt(now int64) { r.ptrFrom = now }
+
+// SetDark powers the pipeline off (dark) or on from cycle from: the
+// cycles before it are credited under the old setting.
+func (r *Router) SetDark(from int64, dark bool) {
+	r.Settle(from)
+	r.dark = dark
+}
+
+// Frozen reports whether a fault has halted the router.
+func (r *Router) Frozen() bool { return r.frozen }
+
+// SetFrozen halts (or resumes) the router from cycle now.
+func (r *Router) SetFrozen(now int64, frozen bool) {
+	r.Settle(now)
+	r.frozen = frozen
+}
+
+// Due returns the earliest cycle from now on at which a tick can do more
+// than step the input pointers: now while a flit is buffered (RC, VA and
+// SA have requesters), otherwise the first cycle a credit, control
+// message or flit becomes visible on an input. A router with nothing
+// queued, or a frozen one, is never due: new input files it again, and
+// the fault change that thaws it files every component.
+func (r *Router) Due(now int64) int64 {
+	if r.frozen {
+		return sim.Never
 	}
+	if r.buffered != 0 {
+		return now
+	}
+	return max(r.NextArrival(true), now)
 }
 
-// assertIdleTick (flovdebug builds) runs the full pipeline on a router
-// the idle test declared idle and fails if the tick changed anything
-// beyond what advanceInPtrs changes, or if the buffered-flit counter
-// disagrees with a recount. It runs on every idle router-cycle, so it
-// compares allocation-free digests rather than CaptureState copies.
-func (r *Router) assertIdleTick(now int64) {
+// NextArrival returns the first cycle an item becomes visible on any
+// input queue, or sim.Never. localCtrl selects whether the Local
+// control queue counts: a power-gated FLOV router leaves it untouched.
+func (r *Router) NextArrival(localCtrl bool) int64 {
+	t := sim.Never
+	for p := range r.Ports {
+		pl := &r.Ports[p]
+		if pl.InFlit != nil {
+			t = min(t, pl.InFlit.NextReady())
+		}
+		if pl.InCtrl != nil && (localCtrl || p != int(topology.Local)) {
+			t = min(t, pl.InCtrl.NextReady())
+		}
+	}
+	return t
+}
+
+// SkipProbe is a router's state before a tick the wake calendar
+// skipped, taken by ProbeSkip and checked by CheckSkip.
+type SkipProbe struct {
+	digest  assert.Digest
+	queues  [topology.NumPorts][4]int
+	inPtr   [topology.NumPorts]int
+	ptrFrom int64
+	owes    bool
+}
+
+// ProbeSkip records the router's state before a full tick at a cycle
+// the calendar skipped (flovdebug cross-check).
+func (r *Router) ProbeSkip() SkipProbe {
 	if n := r.countBuffered(); n != r.buffered {
-		assert.Failf("router %d: buffered counter %d, recount %d at cycle %d", r.ID, r.buffered, n, now)
+		assert.Failf("router %d: buffered counter %d, recount %d", r.ID, r.buffered, n)
 	}
-	want, wantQueued, wantPtr := r.stateDigest(), r.LinkQueueLens(), r.inPtr
-	for p := range wantPtr {
-		wantPtr[p]++
+	return SkipProbe{
+		digest:  r.stateDigest(),
+		queues:  r.LinkQueueLens(),
+		inPtr:   r.inPtr,
+		ptrFrom: r.ptrFrom,
+		owes:    !r.dark && !r.frozen,
 	}
-	r.pipeline(now)
-	if r.stateDigest() != want || r.inPtr != wantPtr {
-		assert.Failf("router %d: idle tick at cycle %d changed state beyond the input pointers", r.ID, now)
+}
+
+// CheckSkip fails unless the full tick run at now since ProbeSkip
+// changed nothing beyond the input pointers, and moved those by exactly
+// the steps the lazy accounting owes through now. It then puts the
+// pointers and their accounting back, so the skip stays lazy.
+func (r *Router) CheckSkip(p SkipProbe, now int64) {
+	if r.stateDigest() != p.digest {
+		assert.Failf("router %d: skipped tick at cycle %d changed state beyond the input pointers", r.ID, now)
 	}
-	if got := r.LinkQueueLens(); got != wantQueued {
-		assert.Failf("router %d: idle tick at cycle %d moved link queues %v -> %v", r.ID, now, wantQueued, got)
+	if got := r.LinkQueueLens(); got != p.queues {
+		assert.Failf("router %d: skipped tick at cycle %d moved link queues %v -> %v", r.ID, now, p.queues, got)
 	}
+	want := p.inPtr
+	if p.owes {
+		for i := range want {
+			want[i] += int(now + 1 - p.ptrFrom)
+		}
+	}
+	if r.inPtr != want {
+		assert.Failf("router %d: skipped tick at cycle %d left input pointers %v, lazy accounting owes %v", r.ID, now, r.inPtr, want)
+	}
+	r.inPtr, r.ptrFrom = p.inPtr, p.ptrFrom
 }
 
 // assertKernelState (flovdebug builds) checks the derived kernel

@@ -21,7 +21,8 @@ type State struct {
 }
 
 // CaptureState copies the router's mutable state, registering every
-// buffered flit's packet in t.
+// buffered flit's packet in t. A router the wake calendar skips owes its
+// input pointers some steps, so the caller settles it (Settle) first.
 func (r *Router) CaptureState(t *noc.PacketTable) State {
 	s := State{Traversals: r.Traversals}
 	for p := 0; p < int(topology.NumPorts); p++ {
@@ -56,6 +57,11 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		if len(s.Out[p].Credits) != len(r.out[p].Credits) {
 			return fmt.Errorf("router %d port %d: snapshot has %d output VCs, router has %d",
 				r.ID, p, len(s.Out[p].Credits), len(r.out[p].Credits))
+		}
+		for v, vc := range s.In[p] {
+			if int(vc.State) >= numVCStates {
+				return fmt.Errorf("router %d port %d vc %d: snapshot has invalid VC state %d", r.ID, p, v, vc.State)
+			}
 		}
 	}
 	for p := 0; p < np; p++ {

@@ -22,6 +22,7 @@ import (
 	"flov/internal/noc"
 	"flov/internal/power"
 	"flov/internal/routing"
+	"flov/internal/sim"
 	"flov/internal/topology"
 )
 
@@ -116,13 +117,20 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 	m.ledger.AddDyn(power.CatHandshake, activeRouters)
 }
 
-// TickRouters advances active routers and progresses reconfiguration.
-func (m *Mechanism) TickRouters(now int64) {
-	for id, r := range m.net.Routers {
-		if !m.parked[id] {
-			r.Tick(now)
-		}
+// TickRouter advances router id unless it is parked. A parked router
+// is never due: the reconfiguration that unparks it files every router.
+func (m *Mechanism) TickRouter(id int, now int64) int64 {
+	if m.parked[id] {
+		return sim.Never
 	}
+	r := m.net.Routers[id]
+	r.Tick(now)
+	return r.Due(now + 1)
+}
+
+// FinishRouters progresses reconfiguration once the cycle's routers have
+// run.
+func (m *Mechanism) FinishRouters(now int64) {
 	if m.reconfiguring && now >= m.reconfigReady &&
 		(m.networkEmpty() || (m.net.FaultsEver() && now >= m.reconfigReady+forcedApplyGrace)) {
 		m.applyReconfiguration(now)
@@ -179,6 +187,8 @@ func (m *Mechanism) applyReconfiguration(now int64) {
 	m.table = t
 	m.parked = newParked
 	m.reconfiguring = false
+	m.powerRouters(now + 1)
+	m.net.FileAll(now + 1)
 	if m.net.Trace != nil {
 		on, gated := m.RouterPowerCounts()
 		m.net.Trace.Addf(now, nlog.KReconfig, -1,
@@ -243,6 +253,14 @@ func (m *Mechanism) linkOK() func(u int, d topology.Direction) bool {
 		return nil
 	}
 	return func(u int, d topology.Direction) bool { return !inj.LinkPermanentlyDown(u, d) } //flovlint:allow hotalloc -- fault-aware link filter built once per reconfiguration
+}
+
+// powerRouters tells every router's pipeline whether it is parked from
+// cycle from on.
+func (m *Mechanism) powerRouters(from int64) {
+	for id, r := range m.net.Routers {
+		r.SetDark(from, m.parked[id])
+	}
 }
 
 // CanInject stalls all injections during Phase I (the paper: "the network

@@ -58,6 +58,7 @@ func (m *Mechanism) RestoreState(s State) error {
 	m.pendingGated = append([]bool(nil), s.PendingGated...)
 	m.reconfigs = s.Reconfigs
 	m.stallStart = s.StallStart
+	m.powerRouters(m.net.Now())
 	// Derived from the (already restored) fault injector, not serialized.
 	if m.net.Faults != nil {
 		m.faultPermSeen = m.net.Faults.PermanentVersion()

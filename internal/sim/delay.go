@@ -13,10 +13,16 @@ package sim
 // advances head, and the window is moved back to the start of the
 // backing array only when a Push finds that array full. A pop therefore
 // never shifts the queue.
+//
+// A Delay wired to a Calendar files its consumer at the ready cycle of
+// every item that reaches the head of the queue, so the consumer is
+// visited when the item becomes visible.
 type Delay[T any] struct {
-	latency int64 //flovsnap:skip property of the wire, not of the traffic on it
-	items   []timed[T]
-	head    int //flovsnap:skip ring position; snapshots see only the live window
+	latency  int64 //flovsnap:skip property of the wire, not of the traffic on it
+	items    []timed[T]
+	head     int       //flovsnap:skip ring position; snapshots see only the live window
+	cal      *Calendar //flovsnap:skip wiring installed by network.New
+	consumer int       //flovsnap:skip wiring installed by network.New
 }
 
 type timed[T any] struct {
@@ -33,6 +39,13 @@ func NewDelay[T any](latency int) *Delay[T] {
 	return &Delay[T]{latency: int64(latency)}
 }
 
+// SetConsumer makes every later push onto an empty queue file consumer
+// in cal at the pushed item's ready cycle. The consumer's own visits
+// must file it for the head left behind (see push).
+func (d *Delay[T]) SetConsumer(cal *Calendar, consumer int) {
+	d.cal, d.consumer = cal, consumer
+}
+
 // Push enqueues v at cycle now; it becomes visible at now+latency.
 func (d *Delay[T]) Push(now int64, v T) {
 	d.push(timed[T]{ready: now + d.latency, v: v})
@@ -44,8 +57,15 @@ func (d *Delay[T]) PushAfter(now int64, extra int64, v T) {
 }
 
 // push appends one item, first compacting the live window to the front
-// of the backing array if the array is full and has popped slots.
+// of the backing array if the array is full and has popped slots. An
+// item pushed onto an empty queue becomes its head, so the consumer is
+// filed for the item's ready cycle. An item queued behind others needs
+// no filing: it is visible no earlier than the head, and the visit that
+// takes the head files the consumer again for whatever head is left.
 func (d *Delay[T]) push(it timed[T]) {
+	if d.cal != nil && d.head == len(d.items) {
+		d.cal.File(d.consumer, it.ready)
+	}
 	if d.head > 0 && len(d.items) == cap(d.items) {
 		n := copy(d.items, d.items[d.head:])
 		clear(d.items[n:])
@@ -58,6 +78,15 @@ func (d *Delay[T]) push(it timed[T]) {
 // Ready reports whether an item is visible at cycle now.
 func (d *Delay[T]) Ready(now int64) bool {
 	return d.head < len(d.items) && d.items[d.head].ready <= now
+}
+
+// NextReady returns the cycle the front item becomes visible, or Never
+// when the queue is empty.
+func (d *Delay[T]) NextReady() int64 {
+	if d.head == len(d.items) {
+		return Never
+	}
+	return d.items[d.head].ready
 }
 
 // Pop removes and returns the front item if it is visible at cycle now.

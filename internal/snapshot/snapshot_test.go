@@ -35,7 +35,7 @@ func testConfig() config.Config {
 
 // buildSynthetic assembles one synthetic network the way the sweep
 // engine does: static mask from a seeded draw, uniform traffic.
-func buildSynthetic(t *testing.T, cfg config.Config, mech config.Mechanism) *network.Network {
+func buildSynthetic(t testing.TB, cfg config.Config, mech config.Mechanism) *network.Network {
 	t.Helper()
 	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
 	if err != nil {
