@@ -10,9 +10,12 @@
 //	flovbench -check -in bench.txt -report compare.txt
 //	go test -bench 'Step|Sweep' -benchmem ./... | flovbench -update
 //
-// -check exits 1 on any regression, and also on a baselined benchmark
-// missing from the input (a silently shrinking run is not a passing
-// run). -update rewrites the baseline from the input instead.
+// -check compares against the latest recording in the baseline's
+// history and exits 1 on any regression, and also on a baselined
+// benchmark missing from the input (a silently shrinking run is not a
+// passing run). -update instead appends the input to the history as a
+// new recording dated today; benchmarks it lacks keep their previous
+// numbers.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"flov/internal/analysis"
 	"flov/internal/analysis/benchgate"
@@ -30,7 +34,7 @@ const defaultBaselineName = "BENCH_sweep.json"
 
 func main() {
 	check := flag.Bool("check", false, "compare input against the baseline; exit 1 on regression")
-	update := flag.Bool("update", false, "rewrite the baseline from the input")
+	update := flag.Bool("update", false, "append the input to the baseline history as its latest recording")
 	in := flag.String("in", "", "benchmark output file (default: stdin)")
 	baselinePath := flag.String("baseline", "", "baseline file (default: "+defaultBaselineName+" at the module root)")
 	reportPath := flag.String("report", "", "also write the comparison report to this file (the CI artifact)")
@@ -75,11 +79,11 @@ func main() {
 	}
 
 	if *update {
-		b := &benchgate.Baseline{Note: *note, Benchmarks: current}
-		if err := benchgate.Write(bpath, b); err != nil {
+		b := &benchgate.Baseline{Date: time.Now().UTC().Format(time.DateOnly), Note: *note, Benchmarks: current}
+		if err := benchgate.Append(bpath, b); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "flovbench: baselined %d benchmark(s) to %s\n", len(current), bpath)
+		fmt.Fprintf(os.Stderr, "flovbench: recorded %d benchmark(s) in %s\n", len(current), bpath)
 		return
 	}
 

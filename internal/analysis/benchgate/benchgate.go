@@ -1,7 +1,8 @@
 // Package benchgate turns `go test -bench -benchmem` output into a
-// regression gate: a committed baseline (BENCH_sweep.json at the module
-// root) records ns/op, B/op and allocs/op per benchmark, and Compare
-// fails when a current run regresses past the configured headroom.
+// regression gate: a committed baseline file (BENCH_sweep.json at the
+// module root) keeps a dated history of recordings of ns/op, B/op and
+// allocs/op per benchmark, and Compare fails when a current run
+// regresses past the configured headroom over the latest recording.
 //
 // The two metrics are held to very different standards. allocs/op is
 // near-deterministic — the same code allocates the same number of times
@@ -32,12 +33,20 @@ type Result struct {
 	AllocsSet   bool    `json:"allocs_set"`
 }
 
-// Baseline is the committed reference point.
+// Baseline is one recording of the gated benchmarks.
 type Baseline struct {
+	// Date is the day the recording was made (YYYY-MM-DD).
+	Date string `json:"date,omitempty"`
 	// Note documents how the numbers were produced (machine, command),
 	// for whoever re-records them.
 	Note       string            `json:"note,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// file is the baseline file's layout: every recording, oldest first.
+// The gate compares against the last one.
+type file struct {
+	History []Baseline `json:"history"`
 }
 
 // Limits is the allowed headroom over the baseline.
@@ -194,26 +203,68 @@ func Compare(base *Baseline, current map[string]Result, lim Limits) (deltas []De
 	return deltas, missing
 }
 
-// Load reads a baseline file.
-func Load(path string) (*Baseline, error) {
+// LoadHistory reads every recording in a baseline file, oldest first.
+// A file in the older single-recording layout ({"note", "benchmarks"})
+// reads as a history of one.
+func LoadHistory(path string) ([]Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
+	var f file
+	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if b.Benchmarks == nil {
-		b.Benchmarks = map[string]Result{}
+	if f.History == nil {
+		var b Baseline
+		if err := json.Unmarshal(data, &b); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if b.Benchmarks == nil {
+			return nil, fmt.Errorf("%s: neither a history nor a baseline", path)
+		}
+		f.History = []Baseline{b}
 	}
-	return &b, nil
+	for i := range f.History {
+		if f.History[i].Benchmarks == nil {
+			f.History[i].Benchmarks = map[string]Result{}
+		}
+	}
+	return f.History, nil
 }
 
-// Write saves a baseline file, stably ordered by json marshalling of
-// the sorted map.
-func Write(path string, b *Baseline) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+// Load reads the latest recording in a baseline file: the one the gate
+// compares against.
+func Load(path string) (*Baseline, error) {
+	h, err := LoadHistory(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(h) == 0 {
+		return nil, fmt.Errorf("%s: empty history", path)
+	}
+	return &h[len(h)-1], nil
+}
+
+// Append adds b to the history in path as its latest recording,
+// creating the file if it does not exist. A benchmark the previous
+// latest recording gated but b lacks keeps its old numbers, so a
+// partial re-record never drops a gate.
+func Append(path string, b *Baseline) error {
+	h, err := LoadHistory(path)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	entry := Baseline{Date: b.Date, Note: b.Note, Benchmarks: make(map[string]Result)}
+	if len(h) > 0 {
+		for name, r := range h[len(h)-1].Benchmarks {
+			entry.Benchmarks[name] = r
+		}
+	}
+	for name, r := range b.Benchmarks {
+		entry.Benchmarks[name] = r
+	}
+	data, err := json.MarshalIndent(file{History: append(h, entry)}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package benchgate
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -171,7 +172,7 @@ func TestBaselineRoundTripAndReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
 	want := base()
 	want.Note = "recorded on CI runner X"
-	if err := Write(path, want); err != nil {
+	if err := Append(path, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)
@@ -198,10 +199,67 @@ func TestBaselineRoundTripAndReport(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := Write(path, base()); err != nil {
+	if err := Append(path, base()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Error("missing baseline should error (the gate must not silently pass)")
+	}
+}
+
+// Append keeps every recording, dated, and the gate reads the latest. A
+// partial re-record carries the benchmarks it lacks forward.
+func TestAppendKeepsHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	first := base()
+	first.Date = "2026-01-02"
+	if err := Append(path, first); err != nil {
+		t.Fatal(err)
+	}
+	second := &Baseline{Date: "2026-03-04", Note: "faster kernel", Benchmarks: map[string]Result{
+		"BenchmarkStep": {NsPerOp: 8000, AllocsPerOp: 0, AllocsSet: true},
+	}}
+	if err := Append(path, second); err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h) != 2 || h[0].Date != "2026-01-02" || h[1].Date != "2026-03-04" {
+		t.Fatalf("history = %+v, want the two recordings in order", h)
+	}
+	if h[0].Benchmarks["BenchmarkStep"].NsPerOp != 16000 {
+		t.Errorf("the older recording changed: %+v", h[0].Benchmarks)
+	}
+	latest, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest.Note != "faster kernel" || latest.Benchmarks["BenchmarkStep"].NsPerOp != 8000 {
+		t.Errorf("Load returned %+v, want the latest recording", latest)
+	}
+	if latest.Benchmarks["BenchmarkSweep"] != first.Benchmarks["BenchmarkSweep"] {
+		t.Errorf("partial re-record dropped BenchmarkSweep: %+v", latest.Benchmarks)
+	}
+}
+
+// A file in the single-recording layout of earlier versions reads as a
+// history of one, and appending to it keeps that recording.
+func TestLoadReadsSingleRecordingLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	legacy := `{"note": "old", "benchmarks": {"BenchmarkStep": {"ns_per_op": 2267, "allocs_per_op": 0, "allocs_set": true}}}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Load(path)
+	if err != nil || b.Note != "old" || b.Benchmarks["BenchmarkStep"].NsPerOp != 2267 {
+		t.Fatalf("Load = %+v, %v", b, err)
+	}
+	if err := Append(path, &Baseline{Date: "2026-10-17", Benchmarks: map[string]Result{}}); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := LoadHistory(path); err != nil || len(h) != 2 || h[0].Note != "old" {
+		t.Fatalf("history after append = %+v, %v", h, err)
 	}
 }

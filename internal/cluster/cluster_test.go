@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,6 +34,16 @@ func longSpec(rates ...float64) sweep.Spec {
 	s := testSpec(rates...)
 	s.Cycles = 30_000
 	return s
+}
+
+// pollSlices returns a slice trigger whose slices end at their n-th
+// engine poll, so a slice covers a set number of simulation quanta
+// however fast the kernel runs.
+func pollSlices(n int) func() func() bool {
+	return func() func() bool {
+		var polls atomic.Int64
+		return func() bool { return polls.Add(1) >= int64(n) }
+	}
 }
 
 func mustPoints(t *testing.T, spec sweep.Spec) []sweep.Job {
@@ -136,8 +147,10 @@ func TestClusterByteIdentical(t *testing.T) {
 
 	// Worker alpha (cold local cache) runs short slices: it preempts,
 	// checkpointing in-run points, until at least one snapshot is durable.
+	// A slice ends at its third poll, after both started points have run
+	// a quantum.
 	alpha := &Worker{Store: store, Cache: newCache(t), Name: "alpha",
-		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2}
+		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2, slice: pollSlices(3)}
 	for i := 0; i < 100 && !anySnapshot(store, rec.ID, len(points)); i++ {
 		if _, err := alpha.Step(context.Background()); err != nil {
 			t.Fatal(err)

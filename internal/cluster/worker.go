@@ -43,6 +43,12 @@ type Worker struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 
+	// slice substitutes the Slice timer: it starts one slice and returns
+	// the poll the engine makes between simulation quanta, true once the
+	// slice is over. Tests end slices after a set number of polls, so
+	// preemption does not hang on how fast the kernel runs.
+	slice func() (expired func() bool)
+
 	jobsClaimed   atomic.Int64
 	jobsStolen    atomic.Int64
 	jobsFinished  atomic.Int64
@@ -67,6 +73,17 @@ func (w *Worker) poll() time.Duration {
 		return w.Poll
 	}
 	return 250 * time.Millisecond
+}
+
+// startSlice starts the clock of one execution slice. It returns the
+// slice's expiry poll and a func that stops the clock.
+func (w *Worker) startSlice() (expired func() bool, stop func()) {
+	if w.slice != nil {
+		return w.slice(), func() {}
+	}
+	var over atomic.Bool
+	timer := time.AfterFunc(w.Slice, func() { over.Store(true) })
+	return over.Load, func() { timer.Stop() }
 }
 
 // Counters reports lifetime execution counts (claimed includes stolen).
@@ -296,12 +313,6 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		}
 	}()
 
-	var sliceExpired atomic.Bool
-	if w.Slice > 0 {
-		timer := time.AfterFunc(w.Slice, func() { sliceExpired.Store(true) })
-		defer timer.Stop()
-	}
-
 	obs := &sliceObserver{w: w, job: rec.ID, epoch: lease.Epoch,
 		idx: idx, total: len(rec.Points), errs: make(map[int]sweep.Result)}
 	engine := &sweep.Engine{
@@ -312,8 +323,10 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		Snapshots: snaps,
 	}
 	if w.Slice > 0 {
+		expired, stop := w.startSlice()
+		defer stop()
 		engine.Pause = func() bool {
-			return sliceExpired.Load() || lost.Load() || dctx.Err() != nil
+			return expired() || lost.Load() || dctx.Err() != nil
 		}
 	}
 	results := engine.Run(dctx, pending)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestWorkerPreemptAndResume(t *testing.T) {
 	store := openStore(t)
 	rec := submitJob(t, store, points)
 	w := &Worker{Store: store, Cache: newCache(t), Name: "slicer",
-		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2}
+		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2, slice: pollSlices(3)}
 
 	done := driveToDone(t, w, store, rec.ID)
 	if done.State != service.StateDone || done.Errors != 0 {
@@ -113,14 +114,21 @@ func TestWorkerShutdownReleasesLease(t *testing.T) {
 	store := openStore(t)
 	rec := submitJob(t, store, points)
 
+	// The shutdown lands at the engine's second poll, after the point
+	// has run one quantum, however fast the kernel runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{Store: store, Name: "doomed",
 		LeaseTTL: time.Hour, // without release, a steal would wait an hour
 		Slice:    50 * time.Millisecond, Workers: 1}
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	w.slice = func() func() bool {
+		var polls atomic.Int64
+		return func() bool {
+			if polls.Add(1) == 2 {
+				cancel()
+			}
+			return false
+		}
+	}
 	if _, err := w.Step(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -186,6 +186,7 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 		n.NIs[id].Connect(inj, ej, credUp, credDown)
 		node := id
 		n.NIs[id].CanInject = func() bool { return n.Mech.CanInject(node) }
+		r.WatchInputs()
 	}
 
 	// Per-node injection processes.

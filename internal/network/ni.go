@@ -159,13 +159,20 @@ func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 
 // Tick processes credits, ejects arrivals, and injects at most one flit.
 func (ni *NI) Tick(now int64) {
-	for ni.credIn.Ready(now) {
-		if s, _ := ni.credIn.Pop(now); s.IsCredit {
+	for {
+		s, ok := ni.credIn.Pop(now)
+		if !ok {
+			break
+		}
+		if s.IsCredit {
 			ni.out.Return(s.VC)
 		}
 	}
-	for ni.recvFlit.Ready(now) {
-		f, _ := ni.recvFlit.Pop(now)
+	for {
+		f, ok := ni.recvFlit.Pop(now)
+		if !ok {
+			break
+		}
 		ni.eject(f, now)
 	}
 

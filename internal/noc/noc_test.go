@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -50,8 +52,15 @@ func TestPacketLatencies(t *testing.T) {
 	}
 }
 
+// newInputVC returns an empty input VC with the given buffer capacity.
+func newInputVC(index, capacity int) *InputVC {
+	v := &InputVC{}
+	v.Init(index, capacity)
+	return v
+}
+
 func TestInputVCFIFO(t *testing.T) {
-	v := NewInputVC(0, 6)
+	v := newInputVC(0, 6)
 	p := &Packet{Size: 3}
 	fl := MakePacketFlits(p)
 	for i := range fl {
@@ -74,7 +83,7 @@ func TestInputVCFIFO(t *testing.T) {
 }
 
 func TestInputVCOverflowPanics(t *testing.T) {
-	v := NewInputVC(0, 2)
+	v := newInputVC(0, 2)
 	p := &Packet{Size: 3}
 	fl := MakePacketFlits(p)
 	v.Push(&fl[0], 0)
@@ -88,7 +97,7 @@ func TestInputVCOverflowPanics(t *testing.T) {
 }
 
 func TestInputVCResetRequiresEmpty(t *testing.T) {
-	v := NewInputVC(0, 4)
+	v := newInputVC(0, 4)
 	v.Push(&MakePacketFlits(&Packet{Size: 1})[0], 0)
 	defer func() {
 		if recover() == nil {
@@ -99,7 +108,7 @@ func TestInputVCResetRequiresEmpty(t *testing.T) {
 }
 
 func TestInputVCReset(t *testing.T) {
-	v := NewInputVC(2, 4)
+	v := newInputVC(2, 4)
 	v.State = VCActive
 	v.OutDir = topology.East
 	v.OutVC = 3
@@ -113,7 +122,7 @@ func TestInputVCReset(t *testing.T) {
 // capacity bookkeeping.
 func TestInputVCFIFOProperty(t *testing.T) {
 	err := quick.Check(func(ops []bool) bool {
-		v := NewInputVC(0, 8)
+		v := newInputVC(0, 8)
 		var next, expect int
 		for _, push := range ops {
 			if push && !v.Full() {
@@ -204,18 +213,27 @@ func TestVCStateString(t *testing.T) {
 
 // TestInputVCMatchesSliceModel drives an InputVC and a plain slice model
 // through random interleavings of pushes, pops, peeks, resets and
-// checkpoint round-trips, and checks they agree after each step. With a
-// 4-flit buffer, pushes regularly find the backing array full with
-// popped slots in front, so the compaction path is crossed many times.
+// checkpoint round-trips, and checks they agree after each step. It runs
+// at a power-of-two depth (4, a ring of 4) and at one that is not (6, a
+// ring of 8 with two slots the credit bound never reaches). Pushes wrap
+// past the end of the ring many times, and the ring never grows.
 func TestInputVCMatchesSliceModel(t *testing.T) {
+	for _, depth := range []int{4, 6} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { testInputVCModel(t, depth) })
+	}
+}
+
+func testInputVCModel(t *testing.T, depth int) {
 	type entry struct {
 		seq     int
 		arrived int64
 	}
 	rng := sim.NewRNG(11)
-	compactions := 0
+	wraps := 0
+	ring := 1 << bits.Len(uint(depth-1))
 	for trial := 0; trial < 200; trial++ {
-		v := NewInputVC(1, 4)
+		v := newInputVC(1, depth)
+		pushed := 0
 		var model []entry
 		now := int64(0)
 		next := 0
@@ -225,8 +243,10 @@ func TestInputVCMatchesSliceModel(t *testing.T) {
 				if v.Full() {
 					continue
 				}
-				if v.head > 0 && len(v.buf) == cap(v.buf) {
-					compactions++
+				// A ring that takes more pushes than it has slots, without
+				// growing, has wrapped.
+				if pushed++; pushed == ring+1 {
+					wraps++
 				}
 				v.Push(&Flit{Pkt: &Packet{ID: uint64(next)}, Seq: next}, now)
 				model = append(model, entry{next, now})
@@ -253,13 +273,13 @@ func TestInputVCMatchesSliceModel(t *testing.T) {
 					pkts[i] = CapturePacket(p).Materialize()
 				}
 				if rng.Intn(2) == 0 {
-					v = NewInputVC(1, 4)
+					v, pushed = newInputVC(1, depth), 0
 				}
 				v.RestoreState(s, pkts)
 			default:
 				now += int64(rng.Intn(3))
 			}
-			if v.Len() != len(model) || v.Empty() != (len(model) == 0) || v.Full() != (len(model) == 4) || !v.WindowOK() {
+			if v.Len() != len(model) || v.Empty() != (len(model) == 0) || v.Full() != (len(model) == depth) || !v.WindowOK() {
 				t.Fatalf("trial %d step %d: Len/Empty/Full/WindowOK disagree with model %v", trial, step, model)
 			}
 			for i, e := range model {
@@ -270,9 +290,12 @@ func TestInputVCMatchesSliceModel(t *testing.T) {
 			if len(model) > 0 && (v.Front().Seq != model[0].seq || v.FrontArrived() != model[0].arrived) {
 				t.Fatalf("trial %d step %d: front disagrees with model %v", trial, step, model)
 			}
+			if c := v.buf.Cap(); c != 0 && c != ring {
+				t.Fatalf("trial %d step %d: ring has %d slots, want %d", trial, step, c, ring)
+			}
 		}
 	}
-	if compactions == 0 {
-		t.Fatal("no push ever compacted the ring")
+	if wraps < 100 {
+		t.Fatalf("only %d of 200 rings wrapped", wraps)
 	}
 }

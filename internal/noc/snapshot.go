@@ -115,7 +115,8 @@ func (v *InputVC) CaptureState(t *PacketTable) InputVCState {
 		State: v.State, OutDir: v.OutDir, OutVC: v.OutVC,
 		RCCycle: v.RCCycle, VACycle: v.VACycle, WaitSince: v.WaitSince,
 	}
-	for _, e := range v.buf[v.head:] {
+	for i := 0; i < v.buf.Len(); i++ {
+		e := v.buf.At(i)
 		s.Flits = append(s.Flits, CaptureFlit(t, e.flit))
 		s.Arrived = append(s.Arrived, e.arrived)
 	}
@@ -124,6 +125,8 @@ func (v *InputVC) CaptureState(t *PacketTable) InputVCState {
 
 // RestoreState overwrites the VC's mutable state from a capture. Index
 // and capacity are kept (the receiver was built from the same config).
+// The capture must hold at most Capacity flits; the snapshot decoder
+// rejects one that holds more.
 func (v *InputVC) RestoreState(s InputVCState, pkts []*Packet) {
 	v.State = s.State
 	v.OutDir = s.OutDir
@@ -131,11 +134,9 @@ func (v *InputVC) RestoreState(s InputVCState, pkts []*Packet) {
 	v.RCCycle = s.RCCycle
 	v.VACycle = s.VACycle
 	v.WaitSince = s.WaitSince
-	clear(v.buf)
-	v.buf = v.buf[:0]
-	v.head = 0
+	v.buf.Clear()
 	for i, fs := range s.Flits {
-		v.buf = append(v.buf, bufEntry{flit: fs.Materialize(pkts), arrived: s.Arrived[i]})
+		v.Push(fs.Materialize(pkts), s.Arrived[i])
 	}
 }
 

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"flov/internal/sim"
 	"flov/internal/topology"
 )
 
@@ -45,9 +46,9 @@ type bufEntry struct {
 
 // InputVC is one virtual-channel input buffer plus its pipeline state.
 //
-// The buffer is head-indexed like sim.Delay: buf[head:] holds the live
-// flits, Pop advances head, and the window moves back to the start of
-// the backing array only when a Push finds that array full.
+// The buffer is a sim.Ring sized to the buffer depth at the first push.
+// It never grows: the credit protocol bounds what it holds, and Push
+// panics on overflow.
 type InputVC struct {
 	Index int     // VC index within the input port //flovsnap:skip structural index fixed at construction
 	State VCState // pipeline state
@@ -64,27 +65,27 @@ type InputVC struct {
 	// used by the escape-VC timeout (deadlock recovery).
 	WaitSince int64
 
-	buf      []bufEntry
-	head     int //flovsnap:skip ring position; snapshots see only the live window
+	buf      sim.Ring[bufEntry]
 	capacity int //flovsnap:skip structural buffer depth from config
 }
 
-// NewInputVC returns an empty input VC with the given buffer capacity.
-func NewInputVC(index, capacity int) *InputVC {
-	return &InputVC{Index: index, State: VCIdle, capacity: capacity, OutVC: -1}
+// Init makes v an empty, idle input VC with the given buffer capacity,
+// in place. It allocates nothing; the buffer comes at the first push.
+func (v *InputVC) Init(index, capacity int) {
+	*v = InputVC{Index: index, State: VCIdle, capacity: capacity, OutVC: -1}
 }
 
 // Capacity returns the buffer depth in flits.
 func (v *InputVC) Capacity() int { return v.capacity }
 
 // Len returns the number of buffered flits.
-func (v *InputVC) Len() int { return len(v.buf) - v.head }
+func (v *InputVC) Len() int { return v.buf.Len() }
 
 // Empty reports whether no flits are buffered.
-func (v *InputVC) Empty() bool { return v.head == len(v.buf) }
+func (v *InputVC) Empty() bool { return v.buf.Empty() }
 
 // Full reports whether the buffer has no free slot.
-func (v *InputVC) Full() bool { return v.Len() >= v.capacity }
+func (v *InputVC) Full() bool { return v.buf.Len() >= v.capacity }
 
 // Push buffers an arriving flit. It panics on overflow — an overflow means
 // the credit protocol was violated, which is a simulator bug worth failing
@@ -93,59 +94,40 @@ func (v *InputVC) Push(f *Flit, now int64) {
 	if v.Full() {
 		panic(fmt.Sprintf("noc: input VC %d overflow (credit protocol violation) on %s", v.Index, f))
 	}
-	if v.head > 0 && len(v.buf) == cap(v.buf) {
-		n := copy(v.buf, v.buf[v.head:])
-		clear(v.buf[n:])
-		v.buf = v.buf[:n]
-		v.head = 0
+	if v.buf.Cap() == 0 {
+		v.buf.Reserve(v.capacity)
 	}
-	v.buf = append(v.buf, bufEntry{flit: f, arrived: now})
+	v.buf.Push(bufEntry{flit: f, arrived: now})
 }
 
 // Front returns the flit at the head of the buffer without removing it,
 // or nil if empty.
 func (v *InputVC) Front() *Flit {
-	if v.Empty() {
+	if v.buf.Empty() {
 		return nil
 	}
-	return v.buf[v.head].flit
+	return v.buf.Front().flit
 }
 
 // At returns the i-th buffered flit (0 = front) without removing it; used
 // by the fault-drop path to check a whole packet is resident. Call only
 // with i < Len().
-func (v *InputVC) At(i int) *Flit { return v.buf[v.head+i].flit }
+func (v *InputVC) At(i int) *Flit { return v.buf.At(i).flit }
 
 // FrontArrived returns the arrival cycle of the front flit; call only when
 // non-empty.
-func (v *InputVC) FrontArrived() int64 { return v.buf[v.head].arrived }
+func (v *InputVC) FrontArrived() int64 { return v.buf.Front().arrived }
 
 // Pop removes and returns the front flit; call only when non-empty.
-func (v *InputVC) Pop() *Flit {
-	f := v.buf[v.head].flit
-	v.buf[v.head] = bufEntry{} // release the reference
-	v.head++
-	if v.head == len(v.buf) {
-		v.buf = v.buf[:0]
-		v.head = 0
-	}
-	return f
-}
+func (v *InputVC) Pop() *Flit { return v.buf.Pop().flit }
 
-// WindowOK reports whether the ring bookkeeping is consistent: the live
-// window lies inside the backing array, its length is Len, every live
-// slot holds a flit and every popped slot before it has been cleared.
-// Debug assertions call it.
+// WindowOK reports whether the ring bookkeeping is consistent (see
+// sim.Ring.WindowOK): the ring never outgrew the buffer depth, every
+// queued slot holds a flit and every free slot has been cleared. Debug
+// assertions call it.
 func (v *InputVC) WindowOK() bool {
-	if v.head < 0 || v.head > len(v.buf) || len(v.buf[v.head:]) != v.Len() {
-		return false
-	}
-	for i, e := range v.buf {
-		if (i < v.head) != (e.flit == nil) {
-			return false
-		}
-	}
-	return true
+	return v.buf.Len() <= v.capacity && v.buf.Cap() < 2*max(v.capacity, 1) &&
+		v.buf.WindowOK(func(e *bufEntry) bool { return e.flit != nil })
 }
 
 // Reset returns the VC to Idle, clearing route and allocation state. The

@@ -59,6 +59,7 @@ func newGrantRouter(t *testing.T, cfg config.Config, sc *grantScenario, drops *[
 			InCtrl:  sim.NewDelay[Signal](1),
 		}
 	}
+	r.WatchInputs()
 	r.AllocOK = func(d topology.Direction) bool { return sc.allocOK[d] }
 	if sc.faults != nil {
 		r.Faults = sc.faults
@@ -139,7 +140,10 @@ func randomize(rng *sim.RNG, r *Router, sc *grantScenario, now int64) {
 		r.inPtr[p] = rng.Intn(1 << 30)
 		sc.allocOK[p] = rng.Intn(4) != 0
 	}
+	// The flits went in through ivc.Push, behind the router's back, so
+	// its flit count and occupancy masks are recounted.
 	r.buffered = r.countBuffered()
+	r.occ = r.occupancy()
 	if rng.Intn(2) == 0 {
 		f := &randFaults{recovering: rng.Intn(2) == 0, dropAfter: int64(rng.Intn(3 * cfg.EscapeTimeout))}
 		for d := range f.blocked {
@@ -321,7 +325,8 @@ func testGrantOrder(t *testing.T, cfg config.Config, trials int) {
 		randomize(rng, a, &sc, now)
 
 		// The reference router starts from a capture of the same state,
-		// so it also checks that restore rebuilds the state masks.
+		// so it also checks that restore rebuilds the state and
+		// occupancy masks.
 		b := newGrantRouter(t, cfg, &sc, &dropsB)
 		pt := noc.NewPacketTable()
 		st := a.CaptureState(pt)
@@ -335,6 +340,9 @@ func testGrantOrder(t *testing.T, cfg config.Config, trials int) {
 		if a.stMask != b.stMask {
 			t.Fatalf("trial %d: restored masks %v, want %v", trial, b.stMask, a.stMask)
 		}
+		if a.occ != b.occ {
+			t.Fatalf("trial %d: restored occupancy masks %v, want %v", trial, b.occ, a.occ)
+		}
 
 		a.stageVA(now)
 		a.stageSA(now)
@@ -343,6 +351,9 @@ func testGrantOrder(t *testing.T, cfg config.Config, trials int) {
 
 		if a.stMask != a.stateMasks() {
 			t.Fatalf("trial %d: masks out of step with VC states after VA/SA", trial)
+		}
+		if a.occ != a.occupancy() {
+			t.Fatalf("trial %d: occupancy masks out of step with VC buffers after VA/SA", trial)
 		}
 		if ga, gb := viewOf(a, dropsA), viewOf(b, dropsB); !reflect.DeepEqual(ga, gb) {
 			t.Fatalf("trial %d: mask-driven VA/SA diverged from the reference scan\n got  %+v\n want %+v", trial, ga, gb)

@@ -124,6 +124,11 @@ type Router struct {
 	// change goes through setState or resetVC, which keep it in step.
 	stMask [numVCStates][topology.NumPorts]uint64 //flovsnap:skip derived from the input VC states; RestoreState recounts it
 
+	// occ[p] has bit v set exactly when in[p][v] holds a flit, so switch
+	// allocation skips empty Active VCs. acceptFlit sets a bit; traverse
+	// and dropFront clear it when they empty the VC.
+	occ [topology.NumPorts]uint64 //flovsnap:skip derived from the input buffers; RestoreState recounts it
+
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
 	inPtr [topology.NumPorts]int
@@ -137,6 +142,12 @@ type Router struct {
 	// router), whose skipped cycles owe nothing.
 	ptrFrom int64 //flovsnap:skip settled into inPtr before every capture; ResumeAt restarts it on restore
 	dark    bool  //flovsnap:skip mirrors the mechanism's power state, whose restore sets it
+
+	// inbox has bit inCtrlBit(p) set exactly while port p's input
+	// control queue holds an item, and bit inFlitBit(p) while its input
+	// flit queue does. The queues keep it (WatchInputs), so the control
+	// and receive passes visit only non-empty queues.
+	inbox uint64 //flovsnap:skip kept by the input link queues, which restore sets
 
 	// buffered counts the flits held in all input VCs, so an idle router
 	// is recognized in O(1): acceptFlit increments it, traverse and
@@ -160,6 +171,22 @@ const numVCStates = int(noc.VCActive) + 1
 // the per-port state masks.
 const maxVCs = 64
 
+// inCtrlBit and inFlitBit return the inbox bits of port p's input
+// control and flit queues.
+func inCtrlBit(p int) uint64 { return 1 << uint(p) }
+func inFlitBit(p int) uint64 { return 1 << uint(8+p) }
+
+// inCtrlBits and inFlitBits select all ports' control and flit bits.
+const (
+	inCtrlBits = 1<<topology.NumPorts - 1
+	inFlitBits = inCtrlBits << 8
+)
+
+// rrIndex returns the slot round-robin pointer ptr selects among n
+// candidates. The remainder is unsigned: it is cheaper than a signed
+// one, and equal for every pointer a run reaches.
+func rrIndex(ptr, n int) int { return int(uint(ptr) % uint(n)) }
+
 // New builds a router with empty buffers and full credits on every
 // connected output. Channels must be wired into Ports by the caller
 // (package network) before the first Tick.
@@ -169,15 +196,30 @@ func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger) *R
 	if vcs > maxVCs {
 		panic(fmt.Sprintf("router %d: %d VCs per port, at most %d supported", id, vcs, maxVCs))
 	}
+	all := make([]noc.InputVC, int(topology.NumPorts)*vcs) // one block: a port's VCs sit next to the next port's
 	for p := 0; p < int(topology.NumPorts); p++ {
-		r.in[p] = make([]noc.InputVC, vcs)
+		r.in[p] = all[p*vcs : (p+1)*vcs : (p+1)*vcs]
 		for v := range r.in[p] {
-			r.in[p][v] = *noc.NewInputVC(v, cfg.BufferDepth)
+			r.in[p][v].Init(v, cfg.BufferDepth)
 		}
 		r.out[p] = noc.NewOutputVCState(vcs, cfg.BufferDepth, true)
 	}
 	r.recountMasks()
 	return r
+}
+
+// WatchInputs has the router's input queues keep its inbox mask, so a
+// tick polls only the queues that hold something. Call it once the
+// ports are wired, before the first Tick.
+func (r *Router) WatchInputs() {
+	for p := range r.Ports {
+		if q := r.Ports[p].InCtrl; q != nil {
+			q.SetMark(&r.inbox, inCtrlBit(p))
+		}
+		if q := r.Ports[p].InFlit; q != nil {
+			q.SetMark(&r.inbox, inFlitBit(p))
+		}
+	}
 }
 
 // setState moves input VC ivc of port p to state s, keeping the state
@@ -215,9 +257,25 @@ func (r *Router) stateMasks() [numVCStates][topology.NumPorts]uint64 {
 	return m
 }
 
-// recountMasks resets the state masks from the input VC states (after
-// construction and snapshot restore).
-func (r *Router) recountMasks() { r.stMask = r.stateMasks() }
+// occupancy rebuilds the occupancy masks from the input buffers.
+func (r *Router) occupancy() [topology.NumPorts]uint64 {
+	var m [topology.NumPorts]uint64
+	for p := range r.in {
+		for v := range r.in[p] {
+			if !r.in[p][v].Empty() {
+				m[p] |= 1 << uint(v)
+			}
+		}
+	}
+	return m
+}
+
+// recountMasks resets the state and occupancy masks from the input VCs
+// (after construction and snapshot restore).
+func (r *Router) recountMasks() {
+	r.stMask = r.stateMasks()
+	r.occ = r.occupancy()
+}
 
 // Out returns the output credit state for a port (used by power-gating
 // wrappers for credit sync).
@@ -307,14 +365,15 @@ func (r *Router) Due(now int64) int64 {
 // control queue counts: a power-gated FLOV router leaves it untouched.
 func (r *Router) NextArrival(localCtrl bool) int64 {
 	t := sim.Never
-	for p := range r.Ports {
-		pl := &r.Ports[p]
-		if pl.InFlit != nil {
-			t = min(t, pl.InFlit.NextReady())
-		}
-		if pl.InCtrl != nil && (localCtrl || p != int(topology.Local)) {
-			t = min(t, pl.InCtrl.NextReady())
-		}
+	m := r.inbox
+	if !localCtrl {
+		m &^= inCtrlBit(int(topology.Local))
+	}
+	for c := m & inCtrlBits; c != 0; c &= c - 1 {
+		t = min(t, r.Ports[bits.TrailingZeros64(c)].InCtrl.NextReady())
+	}
+	for f := m & inFlitBits; f != 0; f &= f - 1 {
+		t = min(t, r.Ports[bits.TrailingZeros64(f)-8].InFlit.NextReady())
 	}
 	return t
 }
@@ -368,12 +427,16 @@ func (r *Router) CheckSkip(p SkipProbe, now int64) {
 }
 
 // assertKernelState (flovdebug builds) checks the derived kernel
-// structures against what they summarize: the state masks against a
-// recount of the input VC states, and every input VC buffer and input
-// link queue against its own ring bookkeeping.
+// structures against what they summarize: the state and occupancy masks
+// against a recount of the input VCs, the inbox against the input link
+// queues, and every input VC buffer and input link queue against its
+// own ring bookkeeping.
 func (r *Router) assertKernelState(now int64) {
 	if m := r.stateMasks(); m != r.stMask {
 		assert.Failf("router %d: VC state masks %v, recount %v at cycle %d", r.ID, r.stMask, m, now)
+	}
+	if m := r.occupancy(); m != r.occ {
+		assert.Failf("router %d: VC occupancy masks %v, recount %v at cycle %d", r.ID, r.occ, m, now)
 	}
 	for p := range r.in {
 		for v := range r.in[p] {
@@ -387,6 +450,23 @@ func (r *Router) assertKernelState(now int64) {
 			assert.Failf("router %d: input link %s ring window broken at cycle %d", r.ID, topology.Direction(p), now)
 		}
 	}
+	if m := r.inboxRecount(); m != r.inbox {
+		assert.Failf("router %d: inbox %#x, input queues say %#x at cycle %d", r.ID, r.inbox, m, now)
+	}
+}
+
+// inboxRecount rebuilds the inbox mask from the input queues.
+func (r *Router) inboxRecount() uint64 {
+	var m uint64
+	for p := range r.Ports {
+		if q := r.Ports[p].InCtrl; q != nil && !q.Empty() {
+			m |= inCtrlBit(p)
+		}
+		if q := r.Ports[p].InFlit; q != nil && !q.Empty() {
+			m |= inFlitBit(p)
+		}
+	}
+	return m
 }
 
 // stateDigest folds every field CaptureState records except the input
@@ -458,15 +538,18 @@ func (r *Router) countBuffered() int {
 	return n
 }
 
-// processCtrl consumes credits and dispatches control messages.
+// processCtrl consumes credits and dispatches control messages. It
+// visits the non-empty control queues in port order; an item pushed
+// during the pass is not visible before the next cycle.
 func (r *Router) processCtrl(now int64) {
-	for p := 0; p < int(topology.NumPorts); p++ {
+	for m := r.inbox & inCtrlBits; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
 		q := r.Ports[p].InCtrl
-		if q == nil {
-			continue
-		}
-		for q.Ready(now) {
-			s, _ := q.Pop(now)
+		for {
+			s, ok := q.Pop(now)
+			if !ok {
+				break
+			}
 			if !s.IsCredit {
 				if r.OnCtrl != nil {
 					r.OnCtrl(topology.Direction(p), s.Msg)
@@ -491,15 +574,17 @@ func (r *Router) processCtrl(now int64) {
 	}
 }
 
-// receive buffers flits arriving on every connected input port.
+// receive buffers flits arriving on every connected input port, in
+// port order, visiting only the non-empty flit queues.
 func (r *Router) receive(now int64) {
-	for p := 0; p < int(topology.NumPorts); p++ {
+	for m := r.inbox & inFlitBits; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m) - 8
 		q := r.Ports[p].InFlit
-		if q == nil {
-			continue
-		}
-		for q.Ready(now) {
-			f, _ := q.Pop(now)
+		for {
+			f, ok := q.Pop(now)
+			if !ok {
+				break
+			}
 			r.acceptFlit(topology.Direction(p), f, now)
 		}
 	}
@@ -517,6 +602,7 @@ func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
 		ivc.WaitSince = now
 	}
 	ivc.Push(f, now)
+	r.occ[p] |= 1 << uint(f.VC)
 	r.buffered++
 	r.Ledger.AddBufferWrite(1)
 }
@@ -569,13 +655,15 @@ func (r *Router) stageRC(now int64) {
 // packet may be allocated: regular VCs of its vnet, or the escape VC
 // once the packet has entered the escape subnetwork. Ejection (Local)
 // frees the packet from the escape restriction — any VC of the vnet
-// works at the NI.
+// works at the NI. It computes config.Config's VCBase and EscapeVC from
+// the fields in place: calling those value-receiver methods copied the
+// whole configuration on every VA grant.
 func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) (lo, hi int) {
+	per := r.Cfg.VCsPerVNet + r.Cfg.EscapePerVNet
+	base := pkt.VNet * per
 	if pkt.Escape && outDir != topology.Local {
-		esc := r.Cfg.EscapeVC(pkt.VNet)
-		return esc, esc + 1
+		return base + per - 1, base + per
 	}
-	base := r.Cfg.VCBase(pkt.VNet)
 	return base, base + r.Cfg.VCsPerVNet
 }
 
@@ -596,7 +684,8 @@ func (r *Router) stageVA(now int64) {
 			}
 		}
 	}
-	for out, reqs := range r.vaReqs {
+	for out := range r.vaReqs {
+		reqs := r.vaReqs[out] // indexed, not ranged: ranging copies the array
 		outDir := topology.Direction(out)
 		if len(reqs) == 0 || !r.Ports[out].Connected() {
 			continue
@@ -610,9 +699,13 @@ func (r *Router) stageVA(now int64) {
 			}
 			continue
 		}
-		start := r.vaPtr[out] % len(reqs)
-		for i := 0; i < len(reqs); i++ {
-			q := reqs[(start+i)%len(reqs)]
+		// Round-robin from vaPtr: visit reqs[start:], then reqs[:start].
+		i := rrIndex(r.vaPtr[out], len(reqs))
+		for range reqs {
+			q := reqs[i]
+			if i++; i == len(reqs) {
+				i = 0
+			}
 			f := q.ivc.Front()
 			if f == nil {
 				continue
@@ -683,62 +776,58 @@ func (r *Router) stageSA(now int64) {
 	pipeGate := int64(r.Cfg.RouterStages)
 
 	// Input-first: each input port nominates one ready VC, scanning its
-	// VCs round-robin from inPtr. The scan acts only on Active VCs, so it
-	// walks the Active mask split at the start VC: the bits at and above
-	// it first, then the bits below it, each in ascending order — the
-	// rotated scan's visiting order. Candidates per output are counted
-	// as the bids are placed.
+	// VCs round-robin from inPtr. The scan acts only on Active VCs that
+	// hold a flit, so it walks that mask split at the start VC: the bits
+	// at and above it first, then the bits below it, each in ascending
+	// order — the rotated scan's visiting order. Each bid sets its input
+	// port's bit in the bid mask of the output it wants.
 	var bids [topology.NumPorts]*noc.InputVC
-	var cands [topology.NumPorts]int
+	var bidders [topology.NumPorts]uint8
 	for p := range r.in {
-		if active := r.stMask[noc.VCActive][p]; active != 0 {
-			low := active & (uint64(1)<<uint(r.inPtr[p]%len(r.in[p])) - 1)
-			ivc := r.nominate(topology.Direction(p), active&^low, now, pipeGate)
+		if m := r.stMask[noc.VCActive][p] & r.occ[p]; m != 0 {
+			low := m & (uint64(1)<<uint(rrIndex(r.inPtr[p], len(r.in[p]))) - 1)
+			ivc := r.nominate(topology.Direction(p), m&^low, now, pipeGate)
 			if ivc == nil {
 				ivc = r.nominate(topology.Direction(p), low, now, pipeGate)
 			}
 			if ivc != nil {
 				bids[p] = ivc
-				cands[ivc.OutDir]++
+				bidders[ivc.OutDir] |= 1 << uint(p)
 			}
 		}
 		r.inPtr[p]++
 	}
 
 	// Output-side arbitration: one winner per output port, picked
-	// round-robin among that output's bids in input-port order.
-	for out, n := range cands {
-		if n == 0 {
+	// round-robin among that output's bids in input-port order: the
+	// (saPtr mod bids)-th set bit of its bid mask. An input port bids for
+	// one output only, so it sends at most one flit per cycle.
+	for out, m := range bidders {
+		if m == 0 {
 			continue
 		}
-		pick := r.saPtr[out] % n
-		r.saPtr[out]++
-		for p, ivc := range bids {
-			if ivc == nil || ivc.OutDir != topology.Direction(out) {
-				continue
+		if m&(m-1) != 0 {
+			for pick := rrIndex(r.saPtr[out], bits.OnesCount8(m)); pick > 0; pick-- {
+				m &= m - 1
 			}
-			if pick == 0 {
-				r.traverse(topology.Direction(p), ivc, now)
-				// Losers keep their bids for future cycles; clear so an
-				// input port sends at most one flit per cycle.
-				bids[p] = nil
-				break
-			}
-			pick--
 		}
+		r.saPtr[out]++
+		p := bits.TrailingZeros8(m)
+		r.traverse(topology.Direction(p), bids[p], now)
 	}
 }
 
-// nominate walks the Active VCs of input port p listed in m in ascending
-// order and returns the first that can bid for the switch this cycle, or
-// nil. A VC whose flit is not yet through the pipeline, whose output
-// link has failed or whose downstream VC has no credit is passed over;
-// the last two may fall back to route computation (releaseBlocked,
-// maybeEscapeStarved), which changes only that VC's own state.
+// nominate walks the occupied Active VCs of input port p listed in m in
+// ascending order and returns the first that can bid for the switch
+// this cycle, or nil. A VC whose flit is not yet through the pipeline,
+// whose output link has failed or whose downstream VC has no credit is
+// passed over; the last two may fall back to route computation
+// (releaseBlocked, maybeEscapeStarved), which changes only that VC's
+// own state.
 func (r *Router) nominate(p topology.Direction, m uint64, now, pipeGate int64) *noc.InputVC {
 	for ; m != 0; m &= m - 1 {
 		ivc := &r.in[p][bits.TrailingZeros64(m)]
-		if ivc.Empty() || ivc.FrontArrived()+pipeGate > now {
+		if ivc.FrontArrived()+pipeGate > now {
 			continue
 		}
 		if r.Faults != nil && ivc.OutDir != topology.Local && r.Faults.LinkBlocked(ivc.OutDir) {
@@ -832,6 +921,7 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 		}
 	}
 	if ivc.Empty() {
+		r.occ[port] &^= 1 << uint(ivc.Index)
 		r.resetVC(port, ivc)
 	} else {
 		nf := ivc.Front()
@@ -852,6 +942,9 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 // link and returns a credit upstream.
 func (r *Router) traverse(port topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Pop()
+	if ivc.Empty() {
+		r.occ[port] &^= 1 << uint(ivc.Index)
+	}
 	r.buffered--
 	outDir := ivc.OutDir
 
@@ -936,31 +1029,21 @@ func (r *Router) BuffersEmpty() bool { return r.buffered == 0 }
 
 // ArrivalsPending reports whether any flit is still queued on an input
 // link (sent by a neighbor but not yet received).
-func (r *Router) ArrivalsPending() bool {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		if q := r.Ports[p].InFlit; q != nil && !q.Empty() {
-			return true
-		}
-	}
-	return false
-}
+func (r *Router) ArrivalsPending() bool { return r.inbox&inFlitBits != 0 }
 
 // LocalActivity reports whether the router currently holds any flit that
 // came from or is going to its local port (used for idle detection).
 func (r *Router) LocalActivity() bool {
-	if r.buffered == 0 {
-		return false
+	// Any flit on the Local input port counts (a VC holding one is never
+	// idle). Elsewhere only a VC past route computation has an output
+	// port to check.
+	if r.occ[topology.Local] != 0 {
+		return true
 	}
-	// Only a VC past route computation has an output port; on the Local
-	// input port any non-idle VC counts. An idle VC is always empty.
 	for p := range r.in {
-		m := r.stMask[noc.VCWaitVC][p] | r.stMask[noc.VCActive][p]
-		if p == int(topology.Local) {
-			m |= r.stMask[noc.VCRouting][p]
-		}
+		m := (r.stMask[noc.VCWaitVC][p] | r.stMask[noc.VCActive][p]) & r.occ[p]
 		for ; m != 0; m &= m - 1 {
-			ivc := &r.in[p][bits.TrailingZeros64(m)]
-			if !ivc.Empty() && (p == int(topology.Local) || ivc.OutDir == topology.Local) {
+			if r.in[p][bits.TrailingZeros64(m)].OutDir == topology.Local {
 				return true
 			}
 		}

@@ -54,6 +54,7 @@ func newHarness(t *testing.T, cfg config.Config) *harness {
 	r.Ports[topology.East] = PortLink{
 		OutFlit: h.eastOut, InCtrl: h.eastCred, OutCtrl: h.eastCtrl,
 	}
+	r.WatchInputs()
 	r.RouteFn = func(inDir topology.Direction, escape bool, pkt *noc.Packet) routing.Decision {
 		if pkt.Dst == 0 {
 			return routing.Decision{Dir: topology.Local}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,20 @@ func longSpec(rates ...float64) sweep.Spec {
 	spec.Cycles = 60_000
 	spec.Warmup = 500
 	return spec
+}
+
+// pollSlices returns a slice trigger whose slices end at their n-th
+// engine poll, each poll first sleeping pace. A slice then covers a set
+// number of simulation quanta, and every quantum costs at least pace of
+// wall time, however fast the kernel runs.
+func pollSlices(n int, pace time.Duration) func() func() bool {
+	return func() func() bool {
+		var polls atomic.Int64
+		return func() bool {
+			time.Sleep(pace)
+			return polls.Add(1) >= int64(n)
+		}
+	}
 }
 
 // readStream replays a finished job's NDJSON feed.
@@ -60,10 +75,13 @@ func TestPreemptedJobMatchesUnpreempted(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each slice ends at its third poll, so the first point is always
+	// caught mid-run.
 	_, ts := newTestServer(t, Config{
 		Runners:  1,
 		Workers:  1,
 		JobSlice: 5 * time.Millisecond,
+		slice:    pollSlices(3, 0),
 	})
 
 	resp := postSpec(t, ts.URL+"/v1/sweeps", spec)
@@ -163,13 +181,16 @@ func TestSlicedShortJobNeverPreempts(t *testing.T) {
 // budget, and a job whose slices were all shorter than JobTimeout could
 // never time out at all.
 func TestTimeoutIsAbsoluteAcrossPreemption(t *testing.T) {
-	// ~300ms of simulation per point serially: total wall time is far
-	// beyond the 300ms deadline, while each 25ms slice is far below it.
+	// Every engine poll costs 10ms and a slice ends at its third poll.
+	// The job makes over 50 polls, so it needs over 500ms of wall time
+	// however fast the kernel runs: far beyond the 100ms deadline, while
+	// each slice stays below it.
 	_, ts := newTestServer(t, Config{
 		Workers:    1,
 		Runners:    1,
 		JobSlice:   25 * time.Millisecond,
-		JobTimeout: 300 * time.Millisecond,
+		JobTimeout: 100 * time.Millisecond,
+		slice:      pollSlices(3, 10*time.Millisecond),
 	})
 	st := decodeStatus(t, postSpec(t, ts.URL+"/v1/sweeps", longSpec(0.05, 0.1, 0.15, 0.2)))
 	final := waitDone(t, ts.URL, st.ID)

@@ -64,6 +64,11 @@ type Config struct {
 	// runPoint substitutes the per-point runner (tests block points on
 	// demand to observe streaming and cancellation mid-flight).
 	runPoint func(sweep.Job) sweep.Result
+	// slice substitutes the JobSlice timer: it starts one slice and
+	// returns the poll the engine makes between simulation quanta, true
+	// once the slice is over. Tests end slices after a set number of
+	// polls, so preemption does not hang on how fast the kernel runs.
+	slice func() (expired func() bool)
 }
 
 // Submission errors mapped to HTTP statuses by the handlers.
@@ -371,12 +376,11 @@ func (s *Server) execute(j *job) {
 		Progress: remapFan{fan: progressFan{s: s, j: j}, idx: idx, total: len(j.points)},
 		RunJob:   s.cfg.runPoint,
 	}
-	var sliceExpired atomic.Bool
 	if s.cfg.JobSlice > 0 {
-		engine.Pause = sliceExpired.Load
+		expired, stop := s.startSlice()
+		defer stop()
+		engine.Pause = expired
 		engine.Snapshots = snaps
-		timer := time.AfterFunc(s.cfg.JobSlice, func() { sliceExpired.Store(true) })
-		defer timer.Stop()
 	}
 	start := time.Now()
 	results := engine.Run(ctx, pts)
@@ -452,6 +456,17 @@ func (s *Server) execute(j *job) {
 	s.mu.Unlock()
 	s.finalize(j, full, st, state, reason)
 	s.log("finish %s: %s, %s", j.id, state, st)
+}
+
+// startSlice starts the clock of one execution slice. It returns the
+// engine's preemption poll and a func that stops the clock.
+func (s *Server) startSlice() (expired func() bool, stop func()) {
+	if s.cfg.slice != nil {
+		return s.cfg.slice(), func() {}
+	}
+	var over atomic.Bool
+	timer := time.AfterFunc(s.cfg.JobSlice, func() { over.Store(true) })
+	return over.Load, func() { timer.Stop() }
 }
 
 // finalize records the terminal state exactly once: results, metrics,

@@ -187,11 +187,11 @@ func TestDelayDrainConsumesOnlyReady(t *testing.T) {
 // TestDelayMatchesSliceModel drives a Delay and a plain slice model
 // through random interleavings of every queue operation, including
 // checkpoint round-trips, and checks they agree after each step. The
-// queues stay short, so pushes regularly find the backing array full
-// with popped slots in front: the compaction path is crossed many times.
+// queues stay short, so pushes regularly wrap past the end of the ring
+// and now and then find it full: both paths are crossed many times.
 func TestDelayMatchesSliceModel(t *testing.T) {
 	rng := NewRNG(7)
-	compactions := 0
+	wraps, grows := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		d := NewDelay[int](1 + rng.Intn(3))
 		var model []Queued[int]
@@ -200,8 +200,11 @@ func TestDelayMatchesSliceModel(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4:
-				if d.head > 0 && len(d.items) == cap(d.items) {
-					compactions++
+				switch {
+				case d.n == len(d.buf):
+					grows++
+				case d.head+d.n >= len(d.buf):
+					wraps++
 				}
 				if op == 0 {
 					extra := int64(rng.Intn(4))
@@ -254,7 +257,7 @@ func TestDelayMatchesSliceModel(t *testing.T) {
 			}
 		}
 	}
-	if compactions == 0 {
-		t.Fatal("no push ever compacted the ring")
+	if wraps == 0 || grows == 0 {
+		t.Fatalf("pushes wrapped %d times and grew the ring %d times; want both", wraps, grows)
 	}
 }

@@ -2,10 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
 	"flov/internal/config"
+	"flov/internal/network"
+	"flov/internal/noc"
+	"flov/internal/topology"
 )
 
 // fuzzSections returns the sections of a real snapshot: a gFLOV network
@@ -65,8 +70,8 @@ func FuzzLoad(f *testing.F) {
 // under a valid CRC, so mutations reach the decoders and the restore
 // logic rather than stopping at the checksum. Restoring into a fresh
 // network returns an error or succeeds, and never panics. A restored
-// network saves again, and a second Save→Restore→Save round trip is
-// byte-stable.
+// network holds no input VC over its buffer depth, saves again, and a
+// second Save→Restore→Save round trip is byte-stable.
 func FuzzRestore(f *testing.F) {
 	base := fuzzSections(f)
 	for i, s := range base {
@@ -79,6 +84,9 @@ func FuzzRestore(f *testing.F) {
 		n := buildSynthetic(t, cfg, config.GFLOV)
 		if err := Restore(bytes.NewReader(container(t, secs)), n, nil); err != nil {
 			return
+		}
+		if msg := overfullVC(n); msg != "" {
+			t.Fatalf("restore accepted %s", msg)
 		}
 		var first bytes.Buffer
 		if err := Save(&first, n, nil); err != nil {
@@ -96,6 +104,46 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal("Save→Restore→Save is not byte-stable")
 		}
 	})
+}
+
+// overfullVC names the first input VC of n holding more flits than its
+// buffer depth, or returns "". The VC's ring never grows, so such a VC
+// would wrap over its own live flits.
+func overfullVC(n *network.Network) string {
+	for _, r := range n.Routers {
+		for d := topology.Direction(0); d < topology.NumPorts; d++ {
+			for v := 0; v < n.Cfg.VCsTotal(); v++ {
+				if ivc := r.InVC(d, v); ivc.Len() > ivc.Capacity() {
+					return fmt.Sprintf("router %d port %s vc %d holding %d flits, depth %d", r.ID, d, v, ivc.Len(), ivc.Capacity())
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// An input VC holding more flits than the buffer depth is corrupt: it
+// is rejected before any state is applied.
+func TestRestoreRejectsOverfullVC(t *testing.T) {
+	cfg := testConfig()
+	src := buildSynthetic(t, cfg, config.GFLOV)
+	src.RunTo(421)
+	st, err := Capture(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := &st.Net.Routers[0].In[0][0]
+	for len(vc.Flits) <= cfg.BufferDepth {
+		vc.Flits = append(vc.Flits, noc.FlitState{Pkt: 0, Type: noc.Body, Seq: len(vc.Flits), VC: 0})
+		vc.Arrived = append(vc.Arrived, 421)
+	}
+	n := buildSynthetic(t, cfg, config.GFLOV)
+	if err := st.apply(n, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overfull VC: restore returned %v, want ErrCorrupt", err)
+	}
+	if msg := overfullVC(n); msg != "" {
+		t.Fatalf("rejected restore still applied %s", msg)
+	}
 }
 
 // Out-of-range enum values and an impossible injection train are

@@ -264,8 +264,9 @@ func Load(r io.Reader) (*State, error) {
 
 // validateRefs checks every packet-table index in the state before any
 // of it is applied, so a malformed snapshot can never index out of
-// range mid-restore.
-func (st *State) validateRefs() error {
+// range mid-restore. It also checks that no input VC holds more than
+// depth flits: an overfull buffer would wrap its ring over live flits.
+func (st *State) validateRefs(depth int) error {
 	np := len(st.Packets)
 	check := func(site string, idx int) error {
 		if idx < 0 || idx >= np {
@@ -279,6 +280,10 @@ func (st *State) validateRefs() error {
 				if len(vc.Flits) != len(vc.Arrived) {
 					return fmt.Errorf("%w: router %d port %d vc %d: %d flits but %d arrival stamps",
 						ErrCorrupt, ri, p, v, len(vc.Flits), len(vc.Arrived))
+				}
+				if len(vc.Flits) > depth {
+					return fmt.Errorf("%w: router %d port %d vc %d holds %d flits, buffer depth %d",
+						ErrCorrupt, ri, p, v, len(vc.Flits), depth)
 				}
 				for _, f := range vc.Flits {
 					if err := check(fmt.Sprintf("router %d input buffer", ri), f.Pkt); err != nil {
@@ -339,7 +344,7 @@ func countQueues(n *network.Network) (flits, ctrls int) {
 
 // apply overlays a validated state onto a freshly built simulation.
 func (st *State) apply(n *network.Network, d *trace.Driver) error {
-	if err := st.validateRefs(); err != nil {
+	if err := st.validateRefs(n.Cfg.BufferDepth); err != nil {
 		return err
 	}
 	wantFlits, wantCtrls := countQueues(n)
