@@ -204,8 +204,6 @@ func Compare(base *Baseline, current map[string]Result, lim Limits) (deltas []De
 }
 
 // LoadHistory reads every recording in a baseline file, oldest first.
-// A file in the older single-recording layout ({"note", "benchmarks"})
-// reads as a history of one.
 func LoadHistory(path string) ([]Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -216,14 +214,7 @@ func LoadHistory(path string) ([]Baseline, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if f.History == nil {
-		var b Baseline
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if b.Benchmarks == nil {
-			return nil, fmt.Errorf("%s: neither a history nor a baseline", path)
-		}
-		f.History = []Baseline{b}
+		return nil, fmt.Errorf("%s: no history", path)
 	}
 	for i := range f.History {
 		if f.History[i].Benchmarks == nil {

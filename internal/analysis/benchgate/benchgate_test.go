@@ -205,6 +205,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Error("missing baseline should error (the gate must not silently pass)")
 	}
+	for _, bad := range []string{`{"note": "x", "benchmarks": {}}`, `not json`} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("Load accepted %q: a file without a history must not pass the gate", bad)
+		}
+	}
 }
 
 // Append keeps every recording, dated, and the gate reads the latest. A
@@ -241,25 +249,5 @@ func TestAppendKeepsHistory(t *testing.T) {
 	}
 	if latest.Benchmarks["BenchmarkSweep"] != first.Benchmarks["BenchmarkSweep"] {
 		t.Errorf("partial re-record dropped BenchmarkSweep: %+v", latest.Benchmarks)
-	}
-}
-
-// A file in the single-recording layout of earlier versions reads as a
-// history of one, and appending to it keeps that recording.
-func TestLoadReadsSingleRecordingLayout(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	legacy := `{"note": "old", "benchmarks": {"BenchmarkStep": {"ns_per_op": 2267, "allocs_per_op": 0, "allocs_set": true}}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(path)
-	if err != nil || b.Note != "old" || b.Benchmarks["BenchmarkStep"].NsPerOp != 2267 {
-		t.Fatalf("Load = %+v, %v", b, err)
-	}
-	if err := Append(path, &Baseline{Date: "2026-10-17", Benchmarks: map[string]Result{}}); err != nil {
-		t.Fatal(err)
-	}
-	if h, err := LoadHistory(path); err != nil || len(h) != 2 || h[0].Note != "old" {
-		t.Fatalf("history after append = %+v, %v", h, err)
 	}
 }

@@ -46,9 +46,9 @@ type bufEntry struct {
 
 // InputVC is one virtual-channel input buffer plus its pipeline state.
 //
-// The buffer is a sim.Ring sized to the buffer depth at the first push.
-// It never grows: the credit protocol bounds what it holds, and Push
-// panics on overflow.
+// The buffer is a sim.Ring of the buffer depth, rounded up to a power of
+// two and allocated at the first push. It never grows: the credit
+// protocol bounds what it holds, and Push panics on overflow.
 type InputVC struct {
 	Index int     // VC index within the input port //flovsnap:skip structural index fixed at construction
 	State VCState // pipeline state
@@ -72,7 +72,8 @@ type InputVC struct {
 // Init makes v an empty, idle input VC with the given buffer capacity,
 // in place. It allocates nothing; the buffer comes at the first push.
 func (v *InputVC) Init(index, capacity int) {
-	*v = InputVC{Index: index, State: VCIdle, capacity: capacity, OutVC: -1}
+	*v = InputVC{Index: index, State: VCIdle, capacity: capacity, OutVC: -1,
+		buf: sim.NewRing[bufEntry](capacity)}
 }
 
 // Capacity returns the buffer depth in flits.
@@ -93,9 +94,6 @@ func (v *InputVC) Full() bool { return v.buf.Len() >= v.capacity }
 func (v *InputVC) Push(f *Flit, now int64) {
 	if v.Full() {
 		panic(fmt.Sprintf("noc: input VC %d overflow (credit protocol violation) on %s", v.Index, f))
-	}
-	if v.buf.Cap() == 0 {
-		v.buf.Reserve(v.capacity)
 	}
 	v.buf.Push(bufEntry{flit: f, arrived: now})
 }
@@ -122,11 +120,11 @@ func (v *InputVC) FrontArrived() int64 { return v.buf.Front().arrived }
 func (v *InputVC) Pop() *Flit { return v.buf.Pop().flit }
 
 // WindowOK reports whether the ring bookkeeping is consistent (see
-// sim.Ring.WindowOK): the ring never outgrew the buffer depth, every
-// queued slot holds a flit and every free slot has been cleared. Debug
+// sim.Ring.WindowOK): the buffer holds at most its depth, every queued
+// slot holds a flit and every free slot has been cleared. Debug
 // assertions call it.
 func (v *InputVC) WindowOK() bool {
-	return v.buf.Len() <= v.capacity && v.buf.Cap() < 2*max(v.capacity, 1) &&
+	return v.buf.Len() <= v.capacity &&
 		v.buf.WindowOK(func(e *bufEntry) bool { return e.flit != nil })
 }
 

@@ -62,9 +62,6 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 			if int(vc.State) >= numVCStates {
 				return fmt.Errorf("router %d port %d vc %d: snapshot has invalid VC state %d", r.ID, p, v, vc.State)
 			}
-			if depth := r.in[p][v].Capacity(); len(vc.Flits) > depth {
-				return fmt.Errorf("router %d port %d vc %d: snapshot holds %d flits, buffer depth %d", r.ID, p, v, len(vc.Flits), depth)
-			}
 		}
 	}
 	for p := 0; p < np; p++ {

@@ -110,6 +110,9 @@ func (d *Delay[T]) put(it timed[T]) {
 	d.n++
 }
 
+// ringMin is the smallest ring a Delay allocates.
+const ringMin = 4
+
 // grow doubles the ring, or allocates the first one. It is kept out of
 // line so push stays small.
 //

@@ -2,30 +2,31 @@ package sim
 
 import "math/bits"
 
-// Ring is a FIFO queue on a circular buffer whose length is a power of
-// two, so a slot index is a mask, not a division. Push writes one slot
-// and Pop clears one; nothing is ever shifted or compacted.
+// Ring is a fixed-size FIFO queue on a circular buffer whose length is
+// a power of two, so a slot index is a mask, not a division. Push writes
+// one slot and Pop clears one; nothing is ever shifted or compacted.
 //
-// The buffer is allocated at the first push, not at construction, so
-// building a network allocates none. It grows by doubling only when a
-// push finds it full. Reserve sizes it up front for a ring with a known
-// bound, which then never grows.
+// NewRing fixes the size; the buffer is allocated at the first push,
+// not at construction, so building a network allocates none. A ring
+// never grows: Push panics when it is full.
 //
-// The zero Ring is empty and ready to use.
-//
-// A Delay keeps the same three fields itself rather than a Ring: the
-// purity rule of flovlint names a write by the type whose field it
-// hits, and a link queue's slots must count as the Delay's state. Both
-// share the buffer moves and the window check below (ringMoved,
-// ringWindowOK).
+// A Delay keeps a ring of its own in its fields rather than a Ring: its
+// ring grows when full, and the purity rule of flovlint names a write by
+// the type whose field it hits, so a link queue's slots must count as
+// the Delay's state. Both share the buffer moves and the window check
+// below (ringMoved, ringWindowOK).
 type Ring[T any] struct {
 	buf  []T
+	size int // slots the first push allocates, a power of two
 	head int // slot of the front item
-	n    int // live items, in slots head, head+1, ... (mod len(buf))
+	n    int // live items, in slots head, head+1, ... (mod size)
 }
 
-// ringMin is the smallest buffer a growing ring allocates.
-const ringMin = 4
+// NewRing returns an empty ring with room for n items, rounded up to a
+// power of two. It allocates nothing.
+func NewRing[T any](n int) Ring[T] {
+	return Ring[T]{size: 1 << bits.Len(uint(max(n, 1)-1))}
+}
 
 // Len returns the number of queued items.
 func (r *Ring[T]) Len() int { return r.n }
@@ -33,36 +34,29 @@ func (r *Ring[T]) Len() int { return r.n }
 // Empty reports whether the ring holds nothing.
 func (r *Ring[T]) Empty() bool { return r.n == 0 }
 
-// Cap returns the number of slots allocated so far.
+// Cap returns the number of slots allocated so far: 0 before the first
+// push, the ring's size after it.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
-// Reserve makes room for at least n items, rounded up to a power of two,
-// keeping the queued ones in order.
-func (r *Ring[T]) Reserve(n int) {
-	if n > len(r.buf) {
-		r.resize(1 << bits.Len(uint(n-1)))
-	}
-}
-
-// Push appends v at the back, doubling the buffer first if it is full.
+// Push appends v at the back. It panics when the ring is full.
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
-		r.grow()
+		r.alloc()
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
-// grow doubles the buffer, or allocates the first one. It is kept out of
-// line so Push stays small enough to inline.
+// alloc allocates the buffer at the first push; a later call means a
+// push found the ring full. It is kept out of line so Push stays small
+// enough to inline.
 //
 //go:noinline
-func (r *Ring[T]) grow() { r.resize(max(2*len(r.buf), ringMin)) }
-
-// resize moves the live items, in order, to the front of a new buffer of
-// size slots.
-func (r *Ring[T]) resize(size int) {
-	r.buf, r.head = ringMoved(r.buf, r.head, r.n, size), 0
+func (r *Ring[T]) alloc() {
+	if r.buf != nil || r.size == 0 {
+		panic("sim: push onto a full Ring")
+	}
+	r.buf = make([]T, r.size) //flovlint:allow hotalloc -- once per ring, at its first push
 }
 
 // ringMoved returns a new buffer of size slots holding, at its front and

@@ -14,22 +14,35 @@ func drain(r *Ring[int]) []int {
 	return out
 }
 
-func TestRingAllocatesAtFirstPush(t *testing.T) {
-	var r Ring[int]
+// A ring allocates its rounded-up size at the first push, and a push
+// onto a full ring panics instead of growing it.
+func TestRingAllocatesAtFirstPushAndNeverGrows(t *testing.T) {
+	r := NewRing[int](6)
 	if r.Cap() != 0 || !r.Empty() || !r.WindowOK(func(v *int) bool { return *v != 0 }) {
-		t.Fatalf("zero ring: cap %d, len %d", r.Cap(), r.Len())
+		t.Fatalf("new ring: cap %d, len %d", r.Cap(), r.Len())
 	}
 	r.Push(1)
-	if r.Cap() != ringMin || r.Len() != 1 {
-		t.Fatalf("after one push: cap %d, len %d; want cap %d, len 1", r.Cap(), r.Len(), ringMin)
+	if r.Cap() != 8 || r.Len() != 1 {
+		t.Fatalf("after one push: cap %d, len %d; want cap 8, len 1", r.Cap(), r.Len())
 	}
+	for i := 2; i <= 8; i++ {
+		r.Push(i)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push onto a full ring did not panic")
+		}
+		if got, want := drain(&r), []int{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("after the refused push: %v, want %v", got, want)
+		}
+	}()
+	r.Push(9)
 }
 
 // A ring kept at a steady fill level wraps many times without growing,
 // and pops come out in push order.
 func TestRingWrapsWithoutGrowing(t *testing.T) {
-	var r Ring[int]
-	r.Reserve(8)
+	r := NewRing[int](8)
 	next, want := 1, 1
 	for step := 0; step < 100; step++ {
 		for r.Len() < 5 {
@@ -54,54 +67,11 @@ func TestRingWrapsWithoutGrowing(t *testing.T) {
 	}
 }
 
-// A push onto a full ring doubles it, and items queued on both sides of
-// the wrap point keep their order through the move.
-func TestRingGrowsWhenFullKeepingOrder(t *testing.T) {
-	var r Ring[int]
-	for i := 1; i <= 4; i++ {
-		r.Push(i)
-	}
-	r.Pop()
-	r.Pop()
-	for i := 5; i <= 6; i++ {
-		r.Push(i) // wraps into the freed slots: the ring is full, head 2
-	}
-	if r.Cap() != 4 || r.head != 2 {
-		t.Fatalf("cap %d head %d before growing; want 4 and 2", r.Cap(), r.head)
-	}
-	r.Push(7)
-	if r.Cap() != 8 {
-		t.Fatalf("push onto a full ring left cap %d, want 8", r.Cap())
-	}
-	if got, want := drain(&r), []int{3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after growing: %v, want %v", got, want)
-	}
-}
-
-func TestRingReserveRoundsUpAndKeepsOrder(t *testing.T) {
-	var r Ring[int]
-	r.Reserve(6)
-	if r.Cap() != 8 {
-		t.Fatalf("Reserve(6) gave %d slots, want 8", r.Cap())
-	}
-	for i := 1; i <= 6; i++ {
-		r.Push(i)
-	}
-	r.Pop()
-	r.Reserve(8) // already enough room: keeps the buffer
-	if r.Cap() != 8 {
-		t.Fatalf("Reserve within capacity resized to %d", r.Cap())
-	}
-	if got, want := drain(&r), []int{2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("%v, want %v", got, want)
-	}
-}
-
 // A popped slot that is not cleared is caught: the ring must not keep a
 // stale reference the garbage collector would have to trace.
 func TestRingWindowOKCatchesDirtyFreeSlot(t *testing.T) {
 	live := func(v *int) bool { return *v != 0 }
-	var r Ring[int]
+	r := NewRing[int](4)
 	for i := 1; i <= 3; i++ {
 		r.Push(i)
 	}
@@ -117,6 +87,32 @@ func TestRingWindowOKCatchesDirtyFreeSlot(t *testing.T) {
 	*r.At(1) = 0 // a queued slot that lost its item
 	if r.WindowOK(live) {
 		t.Fatal("WindowOK missed an empty live slot")
+	}
+}
+
+// A push onto a full Delay doubles its ring, and items queued on both
+// sides of the wrap point keep their order through the move.
+func TestDelayGrowsWhenFullKeepingOrder(t *testing.T) {
+	d := NewDelay[int](1)
+	for i := 1; i <= 4; i++ {
+		d.Push(0, i)
+	}
+	d.Pop(1)
+	d.Pop(1)
+	for i := 5; i <= 6; i++ {
+		d.Push(1, i) // wraps into the freed slots: the ring is full, head 2
+	}
+	if len(d.buf) != ringMin || d.head != 2 || d.n != ringMin {
+		t.Fatalf("cap %d head %d len %d before growing; want %d, 2, %d", len(d.buf), d.head, d.n, ringMin, ringMin)
+	}
+	d.Push(1, 7)
+	if len(d.buf) != 2*ringMin || !d.WindowOK() {
+		t.Fatalf("push onto a full queue left cap %d, want %d", len(d.buf), 2*ringMin)
+	}
+	var got []int
+	d.Drain(2, func(v int) { got = append(got, v) })
+	if want := []int{3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after growing: %v, want %v", got, want)
 	}
 }
 
