@@ -64,9 +64,6 @@ type SourceUse struct {
 	What string // e.g. "time.Now", "math/rand.Int63", "os.Getenv", "order-sensitive map iteration"
 }
 
-// Node returns the graph node for fn, or nil.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode { return g.nodes[fn] }
-
 // Nodes returns every node in deterministic (position) order.
 func (g *CallGraph) Nodes() []*FuncNode { return g.order }
 

@@ -23,13 +23,6 @@ type Module struct {
 	// HotRoots are the hotalloc entry points, defaulting to
 	// DefaultHotAllocRoots when nil.
 	HotRoots []RootSpec
-	// PureRoots, PureAllow and PureBoundaries configure the purity
-	// analyzer: entry points that must stay pure, the mutation-location
-	// keys they may touch, and the wake-event functions the walk stops
-	// at. Each defaults to its DefaultPurity* set when nil.
-	PureRoots      []RootSpec
-	PureAllow      []string
-	PureBoundaries []RootSpec
 
 	graph *CallGraph // built lazily, shared across module analyzers
 }
@@ -75,7 +68,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ModuleAnalyzers returns the module-wide flovlint analyzer set.
 func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer, HotAllocAnalyzer, PurityAnalyzer}
+	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer, HotAllocAnalyzer}
 }
 
 // RunModule runs the given module analyzers over the loaded module and

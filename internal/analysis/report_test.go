@@ -139,14 +139,3 @@ func TestNewRulesSARIF(t *testing.T) {
 		"hotalloc": "hotpath/hotfix.go",
 	})
 }
-
-// TestPurityUnitsafeSARIF round-trips real purity findings from their
-// fixture through the SARIF log. (The name predates the removal of the
-// unitsafe rule, whose findings it also covered.)
-func TestPurityUnitsafeSARIF(t *testing.T) {
-	m, _ := loadPurityModule(t)
-	diags := RunModule(m, []*ModuleAnalyzer{PurityAnalyzer})
-	checkSARIFResults(t, diags, map[string]string{
-		"purity": "purity/purefix.go",
-	})
-}

@@ -240,9 +240,41 @@ func coveredFields(m *Module, graph *CallGraph) map[string]bool {
 
 // collectSkips indexes //flovsnap:skip comments by file and line; like
 // //flovlint:allow, a skip covers its own line (trailing comment) and
-// the line below (comment above the declaration).
+// the line below (comment above the declaration). The text after the
+// marker, cut at any nested "//", is the reason.
 func collectSkips(m *Module) map[string]map[int]skipEntry {
-	return collectMarkerComments(m, skipMarker)
+	out := make(map[string]map[int]skipEntry)
+	for _, pkg := range m.Packages {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					idx := strings.Index(c.Text, skipMarker)
+					if idx < 0 {
+						continue
+					}
+					rest := c.Text[idx+len(skipMarker):]
+					// Require a clean token boundary, so a longer marker
+					// sharing this one as a prefix is not misread as it.
+					if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+						continue
+					}
+					if cut := strings.Index(rest, "//"); cut >= 0 {
+						rest = rest[:cut]
+					}
+					pos := m.Fset.Position(c.Pos())
+					byLine := out[pos.Filename]
+					if byLine == nil {
+						byLine = make(map[int]skipEntry)
+						out[pos.Filename] = byLine
+					}
+					e := skipEntry{reason: strings.TrimSpace(rest), pos: c.Pos()}
+					byLine[pos.Line] = e
+					byLine[pos.Line+1] = e
+				}
+			}
+		}
+	}
+	return out
 }
 
 // skipAt looks up a //flovsnap:skip entry covering the given position.

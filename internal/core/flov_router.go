@@ -529,8 +529,8 @@ func (w *flovRouter) tickSleep(now int64) {
 }
 
 // stateDigest folds the wrapper's mutable state (what CaptureState
-// records; the wake rate-limit memory by size only) into one digest.
-// It is built without race instrumentation, as router.stateDigest is.
+// records) into one digest. It is built without race instrumentation,
+// as router.stateDigest is.
 //
 //go:norace
 func (w *flovRouter) stateDigest() assert.Digest {
@@ -550,7 +550,13 @@ func (w *flovRouter) stateDigest() assert.Digest {
 			h.Add(int64(id))
 		}
 	}
-	for _, v := range [...]int64{w.poweredAt, w.transStart, w.retryAt, w.lastLocal, int64(len(w.wakeSent)),
+	// The rate-limit memory, each cycle weighted by its odd key so that
+	// map order does not matter and any one changed cycle shows.
+	var sent uint64
+	for target, at := range w.wakeSent {
+		sent += uint64(at) * (2*uint64(target) + 1)
+	}
+	for _, v := range [...]int64{w.poweredAt, w.transStart, w.retryAt, w.lastLocal, int64(len(w.wakeSent)), int64(sent),
 		w.sleeps, w.wakes, w.drainAborts, w.wakeAborts, w.latchTraversals, w.sleepTraversals} {
 		h.Add(v)
 	}

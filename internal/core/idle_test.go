@@ -167,3 +167,21 @@ func TestRestoreRecountsOwed(t *testing.T) {
 		t.Fatalf("restored owed counter %d, want 2", got)
 	}
 }
+
+// The skipped-tick digest sees a changed cycle in the wake rate-limit
+// memory, not only its size: a skipped tick that rewrote one would
+// otherwise go unseen, as a checkpoint would not.
+func TestStateDigestFoldsWakeSentCycles(t *testing.T) {
+	_, mech := newBareNet(t, true)
+	w := mech.ws[27]
+	w.wakeSent[30], w.wakeSent[31] = 100, 200
+	before := w.stateDigest()
+	w.wakeSent[31] = 201
+	if w.stateDigest() == before {
+		t.Fatal("digest missed a rewritten wake-request cycle")
+	}
+	w.wakeSent[31] = 200
+	if w.stateDigest() != before {
+		t.Fatal("digest differs for the same rate-limit memory")
+	}
+}

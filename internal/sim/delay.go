@@ -9,26 +9,25 @@ package sim
 // FIFO order is preserved even for items pushed on the same cycle, so a
 // control channel can rely on "credit then notice" ordering.
 //
-// The items live in a ring buffer of a power-of-two size: buf holds n
-// items from slot head on, wrapping at the end. Push writes one slot
-// and Pop clears one; nothing is shifted. The buffer is allocated at
-// the first push and doubles only when a push finds it full: a control
-// queue can take more than one item per cycle, and the input links of a
-// frozen router keep queuing. (This is Ring's layout, kept in the
-// Delay's own fields; see Ring.)
+// The items live in a Ring, allocated at the first push and doubled only
+// when a push finds it full: a control queue can take more than one item
+// per cycle, and the input links of a frozen router keep queuing.
 //
 // A Delay wired to a Calendar files its consumer at the ready cycle of
 // every item that reaches the head of the queue, so the consumer is
 // visited when the item becomes visible.
 type Delay[T any] struct {
-	latency  int64 //flovsnap:skip property of the wire, not of the traffic on it
-	buf      []timed[T]
-	head     int       //flovsnap:skip ring position; snapshots see only the live window
-	n        int       //flovsnap:skip ring length; snapshots see only the live window
+	// q comes first: the inliner charges nothing for &d.q at offset 0,
+	// which keeps Pop under its budget.
+	q        Ring[timed[T]]
+	latency  int64     //flovsnap:skip property of the wire, not of the traffic on it
 	cal      *Calendar //flovsnap:skip wiring installed by network.New
 	consumer int       //flovsnap:skip wiring installed by network.New
-	mark     *uint64   //flovsnap:skip wiring installed by the consumer (SetMark)
-	bit      uint64    //flovsnap:skip wiring installed by the consumer (SetMark)
+	// mark is never nil, so Push and Pop update it without a check.
+	// Until SetMark it points at bit, which is then 0, and every update
+	// leaves it 0.
+	mark *uint64 //flovsnap:skip wiring installed by the consumer (SetMark)
+	bit  uint64  //flovsnap:skip wiring installed by the consumer (SetMark)
 }
 
 type timed[T any] struct {
@@ -42,7 +41,9 @@ func NewDelay[T any](latency int) *Delay[T] {
 	if latency < 1 {
 		panic("sim: Delay latency must be >= 1")
 	}
-	return &Delay[T]{latency: int64(latency)}
+	d := &Delay[T]{latency: int64(latency), q: NewRing[timed[T]](ringMin)}
+	d.mark = &d.bit
+	return d
 }
 
 // SetConsumer makes every later push onto an empty queue file consumer
@@ -63,10 +64,7 @@ func (d *Delay[T]) SetMark(mark *uint64, bit uint64) {
 // syncMark sets or clears the mark bit to match whether the queue holds
 // anything.
 func (d *Delay[T]) syncMark() {
-	if d.mark == nil {
-		return
-	}
-	if d.n == 0 {
+	if d.q.n == 0 {
 		*d.mark &^= d.bit
 	} else {
 		*d.mark |= d.bit
@@ -89,50 +87,30 @@ func (d *Delay[T]) PushAfter(now int64, extra int64, v T) {
 // the head, and the visit that takes the head files the consumer again
 // for whatever head is left.
 func (d *Delay[T]) push(it timed[T]) {
-	if d.n == 0 {
+	if d.q.n == 0 {
 		if d.cal != nil {
 			d.cal.File(d.consumer, it.ready)
 		}
-		if d.mark != nil {
-			*d.mark |= d.bit
-		}
+		*d.mark |= d.bit
 	}
-	d.put(it)
-}
-
-// put writes it into the slot after the back of the ring, doubling the
-// ring first if it is full.
-func (d *Delay[T]) put(it timed[T]) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.buf[(d.head+d.n)&(len(d.buf)-1)] = it
-	d.n++
+	d.q.Push(it)
 }
 
 // ringMin is the smallest ring a Delay allocates.
 const ringMin = 4
 
-// grow doubles the ring, or allocates the first one. It is kept out of
-// line so push stays small.
-//
-//go:noinline
-func (d *Delay[T]) grow() {
-	d.buf, d.head = ringMoved(d.buf, d.head, d.n, max(2*len(d.buf), ringMin)), 0
-}
-
 // Ready reports whether an item is visible at cycle now.
 func (d *Delay[T]) Ready(now int64) bool {
-	return d.n != 0 && d.buf[d.head].ready <= now
+	return d.q.n != 0 && d.q.buf[d.q.head].ready <= now
 }
 
 // NextReady returns the cycle the front item becomes visible, or Never
 // when the queue is empty.
 func (d *Delay[T]) NextReady() int64 {
-	if d.n == 0 {
+	if d.q.n == 0 {
 		return Never
 	}
-	return d.buf[d.head].ready
+	return d.q.buf[d.q.head].ready
 }
 
 // Pop removes and returns the front item if it is visible at cycle now.
@@ -140,11 +118,13 @@ func (d *Delay[T]) Pop(now int64) (v T, ok bool) {
 	if !d.Ready(now) {
 		return v, false
 	}
-	v = d.buf[d.head].v
-	d.buf[d.head] = timed[T]{} // release the reference
-	d.head = (d.head + 1) & (len(d.buf) - 1)
-	d.n--
-	if d.n == 0 && d.mark != nil {
+	// The ring's fields, not Ring.Pop: Pop then stays small enough to
+	// inline at every queue a router or NI polls.
+	q := &d.q
+	it := &q.buf[q.head]
+	v, *it = it.v, timed[T]{} // release the reference
+	q.head = (q.head + 1) & q.mask
+	if q.n--; q.n == 0 {
 		*d.mark &^= d.bit
 	}
 	return v, true
@@ -166,16 +146,16 @@ func (d *Delay[T]) Drain(now int64, fn func(T)) {
 // removing anything. Used for consistency snapshots (e.g. counting
 // in-flight flits when synchronizing credits across a power transition).
 func (d *Delay[T]) Each(fn func(T)) {
-	for i := 0; i < d.n; i++ {
-		fn(d.buf[(d.head+i)&(len(d.buf)-1)].v)
+	for i := 0; i < d.q.n; i++ {
+		fn(d.q.At(i).v)
 	}
 }
 
 // Len returns the number of queued items (visible or not).
-func (d *Delay[T]) Len() int { return d.n }
+func (d *Delay[T]) Len() int { return d.q.n }
 
 // Empty reports whether no items are queued at all.
-func (d *Delay[T]) Empty() bool { return d.n == 0 }
+func (d *Delay[T]) Empty() bool { return d.q.n == 0 }
 
 // Latency returns the queue's base latency in cycles.
 func (d *Delay[T]) Latency() int64 { return d.latency }
@@ -184,7 +164,7 @@ func (d *Delay[T]) Latency() int64 { return d.latency }
 // Ring.WindowOK): every queued item has a ready cycle, which is at least
 // 1, and every free slot has been cleared. Debug assertions call it.
 func (d *Delay[T]) WindowOK() bool {
-	return ringWindowOK(d.buf, d.head, d.n, func(it *timed[T]) bool { return it.ready != 0 })
+	return d.q.WindowOK(func(it *timed[T]) bool { return it.ready != 0 })
 }
 
 // Queued is one in-flight item of a Delay with its absolute ready cycle,
@@ -197,9 +177,9 @@ type Queued[T any] struct {
 // Queued returns every in-flight item with its absolute ready cycle, in
 // queue order.
 func (d *Delay[T]) Queued() []Queued[T] {
-	out := make([]Queued[T], d.n)
+	out := make([]Queued[T], d.q.n)
 	for i := range out {
-		it := &d.buf[(d.head+i)&(len(d.buf)-1)]
+		it := d.q.At(i)
 		out[i] = Queued[T]{Ready: it.ready, V: it.v}
 	}
 	return out
@@ -210,10 +190,9 @@ func (d *Delay[T]) Queued() []Queued[T] {
 // of the wire, not of the traffic on it. It files nothing: a restore
 // files every component itself. It keeps the mark bit (SetMark) in step.
 func (d *Delay[T]) SetQueued(items []Queued[T]) {
-	clear(d.buf)
-	d.head, d.n = 0, 0
+	d.q.Clear()
 	for _, it := range items {
-		d.put(timed[T]{ready: it.Ready, v: it.V})
+		d.q.Push(timed[T]{ready: it.Ready, v: it.V})
 	}
 	d.syncMark()
 }

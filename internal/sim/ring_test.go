@@ -15,28 +15,35 @@ func drain(r *Ring[int]) []int {
 }
 
 // A ring allocates its rounded-up size at the first push, and a push
-// onto a full ring panics instead of growing it.
-func TestRingAllocatesAtFirstPushAndNeverGrows(t *testing.T) {
-	r := NewRing[int](6)
-	if r.Cap() != 0 || !r.Empty() || !r.WindowOK(func(v *int) bool { return *v != 0 }) {
+// onto a full ring doubles it, keeping the items in order across the
+// wrap point.
+func TestRingAllocatesAtFirstPushAndDoublesWhenFull(t *testing.T) {
+	live := func(v *int) bool { return *v != 0 }
+	r := NewRing[int](3)
+	if r.Cap() != 0 || !r.Empty() || !r.WindowOK(live) {
 		t.Fatalf("new ring: cap %d, len %d", r.Cap(), r.Len())
 	}
 	r.Push(1)
-	if r.Cap() != 8 || r.Len() != 1 {
-		t.Fatalf("after one push: cap %d, len %d; want cap 8, len 1", r.Cap(), r.Len())
+	if r.Cap() != 4 || r.Len() != 1 {
+		t.Fatalf("after one push: cap %d, len %d; want cap 4, len 1", r.Cap(), r.Len())
 	}
-	for i := 2; i <= 8; i++ {
+	for i := 2; i <= 4; i++ {
 		r.Push(i)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("push onto a full ring did not panic")
-		}
-		if got, want := drain(&r), []int{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("after the refused push: %v, want %v", got, want)
-		}
-	}()
-	r.Push(9)
+	r.Pop()
+	r.Pop()
+	r.Push(5)
+	r.Push(6) // wraps into the freed slots: the ring is full, head 2
+	if r.Cap() != 4 || r.head != 2 || r.Len() != 4 {
+		t.Fatalf("cap %d head %d len %d before growing; want 4, 2, 4", r.Cap(), r.head, r.Len())
+	}
+	r.Push(7)
+	if r.Cap() != 8 || !r.WindowOK(live) {
+		t.Fatalf("push onto a full ring left cap %d, want 8", r.Cap())
+	}
+	if got, want := drain(&r), []int{3, 4, 5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after growing: %v, want %v", got, want)
+	}
 }
 
 // A ring kept at a steady fill level wraps many times without growing,
@@ -102,12 +109,12 @@ func TestDelayGrowsWhenFullKeepingOrder(t *testing.T) {
 	for i := 5; i <= 6; i++ {
 		d.Push(1, i) // wraps into the freed slots: the ring is full, head 2
 	}
-	if len(d.buf) != ringMin || d.head != 2 || d.n != ringMin {
-		t.Fatalf("cap %d head %d len %d before growing; want %d, 2, %d", len(d.buf), d.head, d.n, ringMin, ringMin)
+	if len(d.q.buf) != ringMin || d.q.head != 2 || d.q.n != ringMin {
+		t.Fatalf("cap %d head %d len %d before growing; want %d, 2, %d", len(d.q.buf), d.q.head, d.q.n, ringMin, ringMin)
 	}
 	d.Push(1, 7)
-	if len(d.buf) != 2*ringMin || !d.WindowOK() {
-		t.Fatalf("push onto a full queue left cap %d, want %d", len(d.buf), 2*ringMin)
+	if len(d.q.buf) != 2*ringMin || !d.WindowOK() {
+		t.Fatalf("push onto a full queue left cap %d, want %d", len(d.q.buf), 2*ringMin)
 	}
 	var got []int
 	d.Drain(2, func(v int) { got = append(got, v) })
@@ -143,8 +150,8 @@ func TestDelayQueuedRoundTripAcrossWrap(t *testing.T) {
 	}
 	d.Push(6, 5)
 	d.Push(6, 6)
-	if d.head+d.n <= len(d.buf) {
-		t.Fatalf("setup: live window (head %d, len %d, cap %d) does not wrap", d.head, d.n, len(d.buf))
+	if d.q.head+d.q.n <= len(d.q.buf) {
+		t.Fatalf("setup: live window (head %d, len %d, cap %d) does not wrap", d.q.head, d.q.n, len(d.q.buf))
 	}
 	q := d.Queued()
 	want := []Queued[int]{{Ready: 6, V: 4}, {Ready: 8, V: 5}, {Ready: 8, V: 6}}
@@ -172,7 +179,7 @@ func TestDelaySetQueuedDoesNotFile(t *testing.T) {
 	}
 }
 
-// The same check on a Delay, whose ring lives in its own fields.
+// The same check on a Delay, through the ring it holds.
 func TestDelayWindowOKCatchesDirtyFreeSlot(t *testing.T) {
 	d := NewDelay[int](1)
 	for i := 1; i <= 3; i++ {
@@ -182,8 +189,45 @@ func TestDelayWindowOKCatchesDirtyFreeSlot(t *testing.T) {
 	if !d.WindowOK() {
 		t.Fatal("consistent queue reported broken")
 	}
-	d.buf[0].ready = 5 // the popped slot, written behind the queue's back
+	d.q.buf[0].ready = 5 // the popped slot, written behind the queue's back
 	if d.WindowOK() {
 		t.Fatal("WindowOK missed a dirty free slot")
+	}
+}
+
+// A marked queue keeps its bit set exactly while it holds an item and
+// touches no other bit; an unmarked one works the same and writes
+// nothing outside itself.
+func TestDelayMarkTracksContents(t *testing.T) {
+	d := NewDelay[int](1)
+	d.Push(0, 1)
+	mark := uint64(0b1001)
+	d.SetMark(&mark, 0b10)
+	if mark != 0b1011 {
+		t.Fatalf("SetMark on a non-empty queue: mark %b, want 1011", mark)
+	}
+	d.Push(0, 2)
+	d.Pop(1)
+	if mark != 0b1011 {
+		t.Fatalf("a pop that leaves an item: mark %b, want 1011", mark)
+	}
+	d.Pop(1)
+	if mark != 0b1001 {
+		t.Fatalf("the pop that empties the queue: mark %b, want 1001", mark)
+	}
+	d.PushAfter(1, 3, 3)
+	if mark != 0b1011 {
+		t.Fatalf("a push onto the empty queue: mark %b, want 1011", mark)
+	}
+	d.SetQueued(nil)
+	if mark != 0b1001 {
+		t.Fatalf("SetQueued(nil): mark %b, want 1001", mark)
+	}
+
+	u := NewDelay[int](1)
+	u.Push(0, 1)
+	u.Pop(1)
+	if u.bit != 0 || u.mark != &u.bit {
+		t.Fatalf("unmarked queue: bit %b, mark aimed elsewhere: %v", u.bit, u.mark != &u.bit)
 	}
 }

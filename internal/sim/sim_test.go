@@ -201,9 +201,9 @@ func TestDelayMatchesSliceModel(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4:
 				switch {
-				case d.n == len(d.buf):
+				case d.q.n == len(d.q.buf):
 					grows++
-				case d.head+d.n >= len(d.buf):
+				case d.q.head+d.q.n >= len(d.q.buf):
 					wraps++
 				}
 				if op == 0 {

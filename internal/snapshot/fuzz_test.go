@@ -107,8 +107,8 @@ func FuzzRestore(f *testing.F) {
 }
 
 // overfullVC names the first input VC of n holding more flits than its
-// buffer depth, or returns "". The VC's ring never grows, so such a VC
-// would wrap over its own live flits.
+// buffer depth, or returns "". The credit protocol never lets a VC hold
+// more, so a restore that leaves one has accepted a corrupt snapshot.
 func overfullVC(n *network.Network) string {
 	for _, r := range n.Routers {
 		for d := topology.Direction(0); d < topology.NumPorts; d++ {

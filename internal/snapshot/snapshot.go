@@ -265,7 +265,8 @@ func Load(r io.Reader) (*State, error) {
 // validateRefs checks every packet-table index in the state before any
 // of it is applied, so a malformed snapshot can never index out of
 // range mid-restore. It also checks that no input VC holds more than
-// depth flits: an overfull buffer would wrap its ring over live flits.
+// depth flits: the credit protocol never lets a VC hold more, and
+// InputVC.Push would panic on it mid-restore.
 func (st *State) validateRefs(depth int) error {
 	np := len(st.Packets)
 	check := func(site string, idx int) error {
