@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"flov/internal/network"
 	"flov/internal/snapshot"
 	"flov/internal/trace"
 )
@@ -32,13 +31,6 @@ func RestoreSnapshot(r io.Reader, n *Network, d *Driver) error {
 	return snapshot.Restore(r, n, d)
 }
 
-// RestoreWarmSnapshot applies a post-warmup checkpoint onto a network
-// whose config may differ in TotalCycles/DrainCycles only (warm-start
-// sweep forking).
-func RestoreWarmSnapshot(r io.Reader, n *Network) error {
-	return snapshot.RestoreWarm(r, n)
-}
-
 // SnapshotDiff compares two live simulations field by field and returns
 // the first mismatch path, or "" when identical.
 func SnapshotDiff(na, nb *Network, da, db *Driver) (string, error) {
@@ -50,18 +42,7 @@ func SnapshotDiff(na, nb *Network, da, db *Driver) (string, error) {
 // Driver.RunUntil, snapshot with SaveSnapshot, finish with
 // Driver.Outcome.
 func BuildProfile(prof Profile, m Mechanism, seed uint64) (*Network, *Driver, error) {
-	cfg := FullSystem()
-	cfg.WarmupCycles = 0
-	cfg.TotalCycles = 1 << 40
-	mech, err := NewMechanism(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, err := network.New(cfg, mech, nil, nil, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, trace.NewDriver(n, prof, seed), nil
+	return profileJob(prof, m, seed, 0).Build()
 }
 
 // BuildPARSEC is BuildProfile by benchmark name.

@@ -22,6 +22,7 @@ package flov
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -250,26 +251,30 @@ func RunPARSEC(benchmark string, m Mechanism, seed uint64, maxCycles int64) (Out
 
 // RunProfile executes an arbitrary (possibly customized) profile.
 func RunProfile(prof Profile, m Mechanism, seed uint64, maxCycles int64) (Outcome, error) {
-	if maxCycles <= 0 {
-		maxCycles = 20_000_000
+	r := profileJob(prof, m, seed, maxCycles).Run()
+	if r.Err != "" {
+		return r.Out, errors.New(r.Err)
 	}
+	return r.Out, nil
+}
+
+// profileJob is the one PARSEC point setup behind RunProfile,
+// BuildProfile and PARSECJob: the full-system config with no warmup and
+// an unbounded measurement window (the driver ends the run), bounded by
+// maxCycles (0 means the sweep runner's default of 20M cycles).
+func profileJob(prof Profile, m Mechanism, seed uint64, maxCycles int64) SweepJob {
 	cfg := FullSystem()
 	cfg.WarmupCycles = 0
 	cfg.TotalCycles = 1 << 40
-	mech, err := NewMechanism(m)
-	if err != nil {
-		return Outcome{}, err
+	cfg.Mechanism = m
+	return SweepJob{
+		Kind:      SweepPARSEC,
+		Config:    cfg,
+		Mechanism: m,
+		Profile:   prof,
+		Seed:      seed,
+		MaxCycles: maxCycles,
 	}
-	n, err := network.New(cfg, mech, nil, nil, 0)
-	if err != nil {
-		return Outcome{}, err
-	}
-	d := trace.NewDriver(n, prof, seed)
-	out := d.Run(maxCycles)
-	if !out.Completed {
-		return out, fmt.Errorf("flov: benchmark %s/%v did not complete within %d cycles", prof.Name, m, maxCycles)
-	}
-	return out, nil
 }
 
 // Sweep engine types, re-exported for design-space exploration at scale.
@@ -367,16 +372,5 @@ func PARSECJob(benchmark string, m Mechanism, seed uint64, maxCycles int64) (Swe
 	if !ok {
 		return SweepJob{}, fmt.Errorf("flov: unknown benchmark %q", benchmark)
 	}
-	cfg := FullSystem()
-	cfg.WarmupCycles = 0
-	cfg.TotalCycles = 1 << 40
-	cfg.Mechanism = m
-	return SweepJob{
-		Kind:      SweepPARSEC,
-		Config:    cfg,
-		Mechanism: m,
-		Profile:   prof,
-		Seed:      seed,
-		MaxCycles: maxCycles,
-	}, nil
+	return profileJob(prof, m, seed, maxCycles), nil
 }

@@ -72,11 +72,6 @@ func runHotAlloc(p *ModulePass) {
 	}
 	graph := m.Graph()
 
-	loaded := make(map[string]*Package, len(m.Packages))
-	for _, pkg := range m.Packages {
-		loaded[pkg.Path] = pkg
-	}
-
 	// reported dedups sites reachable from several roots: the first chain
 	// is proof enough. Alloc contexts are per-body syntax, so they are
 	// shared across roots.
@@ -98,7 +93,7 @@ func runHotAlloc(p *ModulePass) {
 		if start == nil {
 			// Same contract as reach: a root in a loaded package that no
 			// longer resolves is rot in the root list — fail loudly.
-			if pkg, ok := loaded[root.Pkg]; ok {
+			if pkg, ok := m.pkg(root.Pkg); ok {
 				p.Reportf(pkg.Files[0].Package, "hotalloc root %s not found; update the root list", root)
 			}
 			continue

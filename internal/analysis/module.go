@@ -23,6 +23,9 @@ type Module struct {
 	// HotRoots are the hotalloc entry points, defaulting to
 	// DefaultHotAllocRoots when nil.
 	HotRoots []RootSpec
+	// SnapDrivers are the statecov capture drivers, defaulting to
+	// DefaultSnapDrivers when nil.
+	SnapDrivers []RootSpec
 
 	graph *CallGraph // built lazily, shared across module analyzers
 }
@@ -33,6 +36,17 @@ func NewModule(path string, fset *token.FileSet, pkgs []*Package) *Module {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	return &Module{Path: path, Fset: fset, Packages: sorted}
+}
+
+// pkg returns the loaded package with the given import path; a root or
+// driver outside the load set has none.
+func (m *Module) pkg(path string) (*Package, bool) {
+	for _, pkg := range m.Packages {
+		if pkg.Path == path {
+			return pkg, true
+		}
+	}
+	return nil, false
 }
 
 // Graph returns the module's conservative static call graph, building
@@ -89,7 +103,7 @@ func RunModule(m *Module, analyzers []*ModuleAnalyzer) []Diagnostic {
 }
 
 // funcDisplay renders a function or method in the short form used by
-// reach chains: "network.(*Network).Step", "sweep.Job.runSynthetic",
+// reach chains: "network.(*Network).Step", "sweep.Job.run",
 // "time.Now".
 func funcDisplay(fn *types.Func) string {
 	pkgName := ""

@@ -41,15 +41,14 @@ func (r RootSpec) String() string {
 
 // DefaultReachRoots returns the simulator's entry points: the per-cycle
 // network step, the full synthetic run loop, the closed-loop trace
-// driver, and the sweep engine's per-point simulation bodies (Job.Run
-// itself wall-times the point, so the roots sit just below it).
+// driver, and the sweep engine's one point runner (Job.Run and the
+// Engine wall-time the point, so the root sits just below them).
 func DefaultReachRoots() []RootSpec {
 	return []RootSpec{
 		{Pkg: "flov/internal/network", Recv: "Network", Func: "Step"},
 		{Pkg: "flov/internal/network", Recv: "Network", Func: "Run"},
 		{Pkg: "flov/internal/trace", Recv: "Driver", Func: "Run"},
-		{Pkg: "flov/internal/sweep", Recv: "Job", Func: "runSynthetic"},
-		{Pkg: "flov/internal/sweep", Recv: "Job", Func: "runPARSEC"},
+		{Pkg: "flov/internal/sweep", Recv: "Job", Func: "run"},
 		// Restore rebuilds live simulation state from a checkpoint; any
 		// nondeterminism reachable from it would corrupt resumed runs.
 		{Pkg: "flov/internal/snapshot", Func: "Restore"},
@@ -81,11 +80,6 @@ func runReach(p *ModulePass) {
 	}
 	graph := m.Graph()
 
-	loaded := make(map[string]*Package, len(m.Packages))
-	for _, pkg := range m.Packages {
-		loaded[pkg.Path] = pkg
-	}
-
 	// reported dedups sources reachable from several roots: the first
 	// chain is proof enough.
 	reported := make(map[SourceUse]bool)
@@ -97,7 +91,7 @@ func runReach(p *ModulePass) {
 			// silently proving nothing. Roots of packages outside this
 			// run's load set are skipped (partial invocations like
 			// `flovlint ./internal/service` cannot see them).
-			if pkg, ok := loaded[root.Pkg]; ok {
+			if pkg, ok := m.pkg(root.Pkg); ok {
 				p.Reportf(pkg.Files[0].Package, "reach entry point %s not found; update the root list", root)
 			}
 			continue

@@ -40,6 +40,13 @@ import (
 // New, state re-derived from captured fields). A skip on a type
 // declaration exempts the whole type and stops the type-graph walk from
 // descending into it.
+//
+// Partial loads. Coverage can only be judged when the code that drives
+// capture and restore is loaded: package snapshot's walkers are what
+// touch most fields (every noc.Packet field, Network.Mech, ...), and a
+// load like `flovlint ./internal/core` brings in the state holders but
+// not their driver. So, like reach with roots outside the load set,
+// statecov stays silent when a driver root's package is not loaded.
 var StatecovAnalyzer = &ModuleAnalyzer{
 	Name: "statecov",
 	Doc:  "prove every snapshot-reachable struct field is captured/restored or //flovsnap:skip'd",
@@ -69,9 +76,33 @@ type snapRoot struct {
 	restore bool
 }
 
+// DefaultSnapDrivers returns the entry points that drive checkpoint
+// capture and restore across all state holders.
+func DefaultSnapDrivers() []RootSpec {
+	return []RootSpec{
+		{Pkg: "flov/internal/snapshot", Func: "Save"},
+		{Pkg: "flov/internal/snapshot", Func: "Restore"},
+	}
+}
+
 func runStatecov(p *ModulePass) {
 	m := p.Module
 	graph := m.Graph()
+
+	drivers := m.SnapDrivers
+	if drivers == nil {
+		drivers = DefaultSnapDrivers()
+	}
+	for _, d := range drivers {
+		pkg, ok := m.pkg(d.Pkg)
+		if !ok {
+			return // the capture closure is incomplete; nothing can be judged
+		}
+		if findRoot(graph, d) == nil {
+			p.Reportf(pkg.Files[0].Package, "statecov driver %s not found; update the driver list", d)
+			return
+		}
+	}
 
 	skips := collectSkips(m)
 	roots := findSnapRoots(m)

@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// loadSnapcovModule mounts the statecov fixture as a module package.
+// loadSnapcovModule mounts the statecov fixture as a module package; its
+// root type drives its own capture.
 func loadSnapcovModule(t *testing.T) *Module {
 	t.Helper()
 	const path = "flov/internal/snapfix"
@@ -14,7 +15,9 @@ func loadSnapcovModule(t *testing.T) *Module {
 	if _, err := loader.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	return NewModule(loader.ModulePath, loader.Fset, loader.Packages())
+	m := NewModule(loader.ModulePath, loader.Fset, loader.Packages())
+	m.SnapDrivers = []RootSpec{{Pkg: path, Recv: "Sim", Func: "CaptureState"}}
+	return m
 }
 
 // TestStatecovFixture checks statecov against the marked fixture: the
@@ -69,5 +72,42 @@ func TestStatecovMessages(t *testing.T) {
 		if !found {
 			t.Errorf("no statecov finding contains %q; got %v", want, diags)
 		}
+	}
+}
+
+// TestStatecovSilentWithoutDriver: a partial load that brings in state
+// holders but not the snapshot driver (what `flovlint ./internal/core`
+// loads) cannot judge coverage, so it reports nothing — while the
+// fixture, whose driver is loaded, still reports its gaps.
+func TestStatecovSilentWithoutDriver(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.Load("flov/internal/core"); err != nil {
+		t.Fatal(err)
+	}
+	core := NewModule(loader.ModulePath, loader.Fset, loader.Packages())
+	if diags := RunModule(core, []*ModuleAnalyzer{StatecovAnalyzer}); len(diags) != 0 {
+		t.Fatalf("core-only load: %d statecov finding(s), first %v", len(diags), diags[0])
+	}
+
+	if diags := RunModule(loadSnapcovModule(t), []*ModuleAnalyzer{StatecovAnalyzer}); len(diags) == 0 {
+		t.Fatal("fixture gaps no longer reported")
+	}
+}
+
+// TestStatecovDriverRot: a driver inside a loaded package that no longer
+// resolves is itself a finding, so the driver list cannot silently rot.
+func TestStatecovDriverRot(t *testing.T) {
+	m := loadSnapcovModule(t)
+	m.SnapDrivers = []RootSpec{{Pkg: "flov/internal/snapfix", Func: "NoSuchDriver"}}
+	diags := RunModule(m, []*ModuleAnalyzer{StatecovAnalyzer})
+	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "driver flov/internal/snapfix.NoSuchDriver not found") {
+		t.Fatalf("want one driver-rot finding, got %v", diags)
 	}
 }

@@ -197,23 +197,27 @@ func (p *Peers) FetchBlob(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Warm pulls a job's cached result (and, for warm-started synthetic
-// points, its warm blob) from peers into the local cache when absent,
-// so the engine's subsequent lookups hit locally. Best-effort: any
-// failure simply leaves the point to simulate.
-func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job, warmStart bool) (adopted int) {
+// Warm pulls a job's cached result from peers into the local cache when
+// absent, so the engine's subsequent lookups hit locally. A synthetic
+// point with a warmup phase that no peer has a row for gets its warm
+// blob instead, when a peer has one, so the worker's warm-started engine
+// forks it. Best-effort: any failure simply leaves the point to
+// simulate.
+func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job) (adopted int) {
 	if p.Len() == 0 || c == nil {
 		return 0
 	}
 	for _, j := range jobs {
-		if _, ok := c.ReadEntry(j.Hash()); !ok {
-			if r, ok := p.FetchResult(j); ok {
-				if err := c.Put(r); err == nil {
-					adopted++
-				}
-			}
+		if _, ok := c.ReadEntry(j.Hash()); ok {
+			continue
 		}
-		if warmStart && j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
+		if r, ok := p.FetchResult(j); ok {
+			if err := c.Put(r); err == nil {
+				adopted++
+			}
+			continue
+		}
+		if j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
 			key := j.WarmKey()
 			if _, ok := c.GetBlob(key); !ok {
 				if blob, ok := p.FetchBlob(key); ok {

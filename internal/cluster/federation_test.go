@@ -30,7 +30,7 @@ func TestFederationEntryFetch(t *testing.T) {
 	peers := NewPeers([]string{srv.URL})
 
 	local := newCache(t)
-	if n := peers.Warm(local, points, false); n != len(points) {
+	if n := peers.Warm(local, points); n != len(points) {
 		t.Fatalf("Warm adopted %d entries, want %d", n, len(points))
 	}
 	hits, misses, rejected := peers.Counters()
@@ -49,7 +49,7 @@ func TestFederationEntryFetch(t *testing.T) {
 		}
 	}
 	// Re-warming is a no-op: everything already local.
-	if n := peers.Warm(local, points, false); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("second Warm adopted %d, want 0", n)
 	}
 }
@@ -81,7 +81,7 @@ func TestFederationRejectsCorruptEntry(t *testing.T) {
 		t.Fatalf("rejected=%d misses=%d, want 1/1", rejected, misses)
 	}
 	local := newCache(t)
-	if n := peers.Warm(local, points, false); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("Warm adopted %d corrupt entries", n)
 	}
 }
@@ -111,6 +111,37 @@ func TestFederationBlobFetch(t *testing.T) {
 	}
 	if _, ok := peers.FetchBlob("0123456789abcdef"); ok {
 		t.Fatal("missing blob reported as hit")
+	}
+}
+
+// TestFederationWarmBlobOnlyForMissingRows: Warm fetches a point's warm
+// blob only when no peer has its row — a fetched row makes the blob
+// useless, since the engine serves the row without simulating.
+func TestFederationWarmBlobOnlyForMissingRows(t *testing.T) {
+	points := mustPoints(t, testSpec(0.1, 0.2))
+	remote := newCache(t)
+	fillCache(t, remote, points[:1])
+	blob := append([]byte("FLOVSNAP"), []byte("checkpoint-payload")...)
+	for _, p := range points {
+		if err := remote.PutBlob(p.WarmKey(), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := httptest.NewServer(CacheHandler(remote))
+	defer srv.Close()
+	local := newCache(t)
+	if n := NewPeers([]string{srv.URL}).Warm(local, points); n != 2 {
+		t.Fatalf("Warm adopted %d, want the row of point 0 and the blob of point 1", n)
+	}
+	if _, ok := local.Get(points[0]); !ok {
+		t.Fatal("point 0: row not adopted")
+	}
+	if _, ok := local.GetBlob(points[0].WarmKey()); ok {
+		t.Fatal("point 0: blob fetched although its row was")
+	}
+	if got, ok := local.GetBlob(points[1].WarmKey()); !ok || !bytes.Equal(got, blob) {
+		t.Fatal("point 1: warm blob not adopted")
 	}
 }
 
@@ -150,7 +181,7 @@ func TestFederationDeadPeer(t *testing.T) {
 	if _, ok := peers.FetchResult(points[0]); ok {
 		t.Fatal("dead peer produced a hit")
 	}
-	if n := peers.Warm(newCache(t), points, true); n != 0 {
+	if n := peers.Warm(newCache(t), points); n != 0 {
 		t.Fatalf("Warm over dead peer adopted %d", n)
 	}
 }

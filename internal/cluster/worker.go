@@ -273,10 +273,11 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		w.logf("%s: adopted %d checkpoint snapshot(s)", rec.ID, adoptedSnaps)
 	}
 
-	// Cache federation: pull rows (and warm blobs, when the warm path is
-	// active) computed elsewhere into the local cache before simulating.
+	// Cache federation: pull rows computed elsewhere (and warm blobs for
+	// points no peer has a row for) into the local cache before
+	// simulating.
 	if w.Peers.Len() > 0 && w.Cache != nil {
-		if n := w.Peers.Warm(w.Cache, pending, w.Slice <= 0); n > 0 {
+		if n := w.Peers.Warm(w.Cache, pending); n > 0 {
 			w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
 		}
 	}
@@ -319,7 +320,7 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		Workers:   w.Workers,
 		Cache:     w.Cache,
 		Progress:  obs,
-		WarmStart: w.Slice <= 0 && w.Cache != nil,
+		WarmStart: w.Cache != nil,
 		Snapshots: snaps,
 	}
 	if w.Slice > 0 {

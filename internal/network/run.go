@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"flov/internal/power"
 	"flov/internal/stats"
 )
 
@@ -158,6 +157,3 @@ func (n *Network) collect() Results {
 	}
 	return res
 }
-
-// LedgerModel exposes the power model (for reporting static budgets).
-func (n *Network) LedgerModel() *power.Model { return n.Ledger.Model() }

@@ -15,8 +15,7 @@
 //   - Strategy is the pluggable search loop (NSGA-II, simulated
 //     annealing, random baseline), fed by seeded sim.RNG streams only;
 //   - Run drives generations through sweep.Engine, so every candidate
-//     is a content-addressed Job that hits the on-disk cache and
-//     warm-start forking for free.
+//     is a content-addressed Job that hits the on-disk cache for free.
 //
 // Everything is a pure function of the Spec: the same spec and seed
 // produce byte-identical fronts across processes, which is what makes

@@ -35,9 +35,6 @@ type Options struct {
 	// finished. Job hashes do not depend on the objective list, so cached
 	// rows re-score under changed objectives.
 	Cache *sweep.Cache
-	// WarmStart enables snapshot forking for candidates sharing a
-	// warmup prefix (needs Cache).
-	WarmStart bool
 	// Progress, when non-nil, receives one Event per finished
 	// generation.
 	Progress func(Event)
@@ -212,7 +209,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	engine := &sweep.Engine{Workers: opts.Workers, Cache: opts.Cache, WarmStart: opts.WarmStart}
+	engine := &sweep.Engine{Workers: opts.Workers, Cache: opts.Cache}
 	r := &run{spec: spec, sp: sp, objs: objs, strat: strat, memo: map[string]eval{}}
 	out := Outcome{
 		Objectives: objs,

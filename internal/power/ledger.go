@@ -58,9 +58,6 @@ type Ledger struct {
 // the measurement window opens.
 func NewLedger(m *Model) *Ledger { return &Ledger{model: m} }
 
-// Model returns the underlying power model.
-func (l *Ledger) Model() *Model { return l.model }
-
 // SetEnabled switches energy accounting on or off (off during warmup).
 func (l *Ledger) SetEnabled(on bool) { l.enabled = on }
 

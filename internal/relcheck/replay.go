@@ -135,7 +135,7 @@ func replayTrial(j sweep.Job) (snap []byte, cycle int64, msg string) {
 			msg = fmt.Sprint(r)
 		}
 	}()
-	n, err := j.BuildSynthetic()
+	n, _, err := j.Build()
 	if err != nil {
 		return nil, 0, err.Error()
 	}

@@ -23,14 +23,17 @@ type Engine struct {
 
 	// RunJob, when non-nil, substitutes the job runner (tests use it
 	// for panic injection and timing control; the serving layer's tests
-	// use it to block points on demand). Nil means Job.Run.
+	// use it to block points on demand). Nil means the point runner
+	// behind Job.Run, with the engine's WarmStart, Pause and Snapshots.
 	RunJob func(Job) Result
 
-	// WarmStart, when set (and Cache is non-nil), runs synthetic points
-	// with a warmup phase via Job.RunWarm: points sharing a (topology,
-	// workload, warmup) prefix restore one cached post-warmup snapshot
-	// instead of each re-simulating the warmup. Results are byte-for-byte
-	// identical to cold runs.
+	// WarmStart, when set (and Cache is non-nil), forks synthetic points
+	// with a warmup phase from the cache: points sharing a WarmKey
+	// (topology, workload, warmup) restore one cached post-warmup
+	// snapshot instead of each re-simulating the warmup, and the first
+	// to cross the warmup boundary publishes it. Results are
+	// byte-for-byte identical to cold runs, and it composes with Pause
+	// and Snapshots.
 	WarmStart bool
 
 	// Pause, when non-nil, makes execution preemptible: workers poll it
@@ -52,7 +55,7 @@ type Engine struct {
 // or panics inside the simulator — yields an error-carrying Result
 // without disturbing its siblings. When ctx is cancelled, jobs not yet
 // started return a "canceled" Result; jobs already running complete
-// normally (simulation points are short; there is no preemption).
+// normally unless Pause preempts them.
 func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	for i, j := range jobs {
@@ -163,13 +166,13 @@ func (e *Engine) guardedRun(j Job, snap []byte) (r Result) {
 	if e.RunJob != nil {
 		return e.RunJob(j)
 	}
-	if e.Pause != nil || snap != nil {
-		return j.RunResumable(snap, e.Pause)
+	var warm *Cache
+	if e.WarmStart {
+		warm = e.Cache
 	}
-	if e.WarmStart && e.Cache != nil {
-		return j.RunWarm(e.Cache)
-	}
-	return j.Run()
+	r = j.run(snap, warm, e.Pause)
+	r.Wall = time.Since(start)
+	return r
 }
 
 func (e *Engine) emit(ev Event) {

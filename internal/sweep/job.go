@@ -93,7 +93,8 @@ type Job struct {
 	Mechanism config.Mechanism
 
 	// Faults optionally attaches the fault-injection subsystem to a
-	// synthetic run (reliability harness points). PARSEC jobs reject it.
+	// synthetic run (reliability harness points). PARSEC jobs reject it
+	// with an error row, on every run path.
 	Faults *fault.Spec
 
 	// PARSEC workload point.
@@ -282,65 +283,13 @@ func NewMechanism(m config.Mechanism) (network.Mechanism, error) {
 	return nil, fmt.Errorf("sweep: unknown mechanism %v", m)
 }
 
-// Run executes the job synchronously in the calling goroutine and
-// returns its result. Errors (bad config, incomplete benchmark) are
+// Run executes the job cold and synchronously in the calling goroutine
+// and returns its result. Errors (bad config, incomplete benchmark) are
 // reported in Result.Err; Run never panics on invalid input, but the
 // simulator itself may — the Engine isolates that.
 func (j Job) Run() Result {
 	start := time.Now()
-	r := Result{Job: j}
-	switch j.Kind {
-	case Synthetic:
-		res, err := j.runSynthetic()
-		if err != nil {
-			r.Err = err.Error()
-		}
-		r.Res = res
-	case PARSEC:
-		out, err := j.runPARSEC()
-		if err != nil {
-			r.Err = err.Error()
-		}
-		r.Out = out
-	default:
-		r.Err = fmt.Sprintf("sweep: unknown job kind %v", j.Kind)
-	}
+	r := j.run(nil, nil, nil)
 	r.Wall = time.Since(start)
 	return r
-}
-
-// runSynthetic mirrors flov.RunSynthetic: static mask drawn from
-// MaskSeed, standard warmup/measure/drain run.
-func (j Job) runSynthetic() (network.Results, error) {
-	n, err := j.buildSynthetic()
-	if err != nil {
-		return network.Results{}, err
-	}
-	return n.Run(), nil
-}
-
-// runPARSEC mirrors flov.RunProfile: closed-loop driver over the job's
-// profile, bounded by MaxCycles.
-func (j Job) runPARSEC() (trace.Outcome, error) {
-	if j.Faults != nil {
-		return trace.Outcome{}, fmt.Errorf("sweep: fault injection is only supported for synthetic jobs")
-	}
-	mech, err := NewMechanism(j.Mechanism)
-	if err != nil {
-		return trace.Outcome{}, err
-	}
-	n, err := network.New(j.Config, mech, nil, nil, 0)
-	if err != nil {
-		return trace.Outcome{}, err
-	}
-	max := j.MaxCycles
-	if max <= 0 {
-		max = 20_000_000
-	}
-	out := trace.NewDriver(n, j.Profile, j.Seed).Run(max)
-	if !out.Completed {
-		return out, fmt.Errorf("sweep: benchmark %s/%v did not complete within %d cycles",
-			j.Profile.Name, j.Mechanism, max)
-	}
-	return out, nil
 }

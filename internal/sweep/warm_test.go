@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"flov/internal/config"
+	"flov/internal/fault"
+	"flov/internal/snapshot"
+	"flov/internal/trace"
 )
 
 // rowJSON renders a result as its durable JSON row (transient fields are
@@ -68,7 +71,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		if _, ok := cache.GetBlob(donor.WarmKey()); ok {
 			t.Fatalf("%v: blob present before donor ran", mech)
 		}
-		warmDonor := donor.RunWarm(cache)
+		warmDonor := donor.run(nil, cache, nil)
 		if warmDonor.Err != "" {
 			t.Fatalf("%v donor: %s", mech, warmDonor.Err)
 		}
@@ -79,7 +82,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 			t.Fatalf("%v: donor did not publish a warm blob", mech)
 		}
 
-		warmFork := fork.RunWarm(cache)
+		warmFork := fork.run(nil, cache, nil)
 		if warmFork.Err != "" {
 			t.Fatalf("%v fork: %s", mech, warmFork.Err)
 		}
@@ -103,7 +106,7 @@ func TestWarmStartHealsCorruptBlob(t *testing.T) {
 	if err := cache.PutBlob(key, []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	r := j.RunWarm(cache)
+	r := j.run(nil, cache, nil)
 	if r.Err != "" {
 		t.Fatalf("warm run with corrupt blob: %s", r.Err)
 	}
@@ -118,7 +121,7 @@ func TestWarmStartHealsCorruptBlob(t *testing.T) {
 		t.Fatal("corrupt blob survived")
 	}
 	// The republished blob must now serve restores.
-	r2 := j.RunWarm(cache)
+	r2 := j.run(nil, cache, nil)
 	if r2.Err != "" || !bytes.Equal(cold, rowJSON(t, r2)) {
 		t.Fatal("restore from republished blob differs from cold run")
 	}
@@ -199,7 +202,7 @@ func TestResumableMatchesUninterrupted(t *testing.T) {
 		var r Result
 		rounds := 0
 		for {
-			r = j.RunResumable(snap, pauseAlways)
+			r = j.run(snap, nil, pauseAlways)
 			if r.Err != "" {
 				t.Fatalf("%v round %d: %s", mech, rounds, r.Err)
 			}
@@ -325,14 +328,13 @@ func TestWarmStartBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmStart := time.Now()
-	warm := make([]Result, points)
-	for i, j := range jobs {
-		warm[i] = j.RunWarm(cache)
-		if warm[i].Err != "" {
-			t.Fatalf("warm point %d: %s", i, warm[i].Err)
+	warm := (&Engine{Workers: 1, Cache: cache, WarmStart: true}).Run(context.Background(), jobs)
+	warmWall := time.Since(warmStart)
+	for i, r := range warm {
+		if r.Err != "" {
+			t.Fatalf("warm point %d: %s", i, r.Err)
 		}
 	}
-	warmWall := time.Since(warmStart)
 
 	for i := range jobs {
 		if !bytes.Equal(rowJSON(t, cold[i]), rowJSON(t, warm[i])) {
@@ -361,5 +363,92 @@ func TestWarmStartBench(t *testing.T) {
 	t.Logf("warm-start bench: cold=%v warm=%v speedup=%.2fx", coldWall, warmWall, speedup)
 	if speedup < 2 {
 		t.Fatalf("warm-start speedup %.2fx below the 2x acceptance bound", speedup)
+	}
+}
+
+// TestPARSECFaultsSameErrorOnEveryPath pins one build for every run
+// path: a PARSEC job carrying Faults gets Job.Run's error row whether
+// the engine runs it preemptibly or resumes it from a checkpoint (here a
+// real one, taken from the fault-free twin of the job).
+func TestPARSECFaultsSameErrorOnEveryPath(t *testing.T) {
+	prof, _ := trace.ProfileByName("canneal")
+	cfg := config.FullSystem()
+	cfg.Width, cfg.Height = 4, 4
+	cfg.WarmupCycles, cfg.TotalCycles = 0, 1<<40
+	twin := Job{Kind: PARSEC, Config: cfg, Mechanism: config.GFLOV, Profile: prof, Seed: 3, MaxCycles: 8_000}
+	paused := twin.run(nil, nil, func() bool { return true })
+	if !paused.Paused || len(paused.Snapshot) == 0 {
+		t.Fatalf("fault-free twin did not pause with a checkpoint (err=%q)", paused.Err)
+	}
+
+	j := twin
+	j.Faults = &fault.Spec{Seed: 1}
+	want := j.Run()
+	if !strings.Contains(want.Err, "only supported for synthetic jobs") {
+		t.Fatalf("Job.Run error = %q", want.Err)
+	}
+	never := func() bool { return false }
+	paths := map[string]*Engine{
+		"pause":    {Workers: 1, Pause: never},
+		"snapshot": {Workers: 1, Snapshots: [][]byte{paused.Snapshot}},
+	}
+	for name, e := range paths {
+		got := e.Run(context.Background(), []Job{j})[0]
+		if !bytes.Equal(rowJSON(t, want), rowJSON(t, got)) {
+			t.Errorf("%s path: row %s, want %s", name, rowJSON(t, got), rowJSON(t, want))
+		}
+	}
+}
+
+// TestWarmStartComposesWithPreemption runs a job list sharing one
+// WarmKey with warm start and a pause that fires once, mid-measurement
+// of the first job, then resumes it from its checkpoint: every row must
+// equal a cold Job.Run row, and the warm blob must be in the cache.
+func TestWarmStartComposesWithPreemption(t *testing.T) {
+	jobs := []Job{warmJob(config.GFLOV, 12_000), warmJob(config.GFLOV, 14_000)}
+	cache, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker polls before each job starts and between slices. Job 0
+	// is polled before it starts, at the warmup boundary (2000) and at
+	// 6096, where the pause fires; job 1 then forks from the warm blob.
+	var polls atomic.Int64
+	eng := &Engine{Workers: 1, Cache: cache, WarmStart: true,
+		Pause: func() bool { return polls.Add(1) == 3 }}
+	round1 := eng.Run(context.Background(), jobs)
+	if !round1[0].Paused || len(round1[0].Snapshot) == 0 {
+		t.Fatalf("job 0 should have paused mid-measurement (paused=%v err=%q)", round1[0].Paused, round1[0].Err)
+	}
+	n, _, err := jobs[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Restore(bytes.NewReader(round1[0].Snapshot), n, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n.Now() <= jobs[0].Config.WarmupCycles {
+		t.Fatalf("job 0 paused at cycle %d, before its measurement window", n.Now())
+	}
+	if round1[1].Paused || round1[1].Err != "" {
+		t.Fatalf("job 1 should have finished: paused=%v err=%q", round1[1].Paused, round1[1].Err)
+	}
+	if _, ok := cache.GetBlob(jobs[0].WarmKey()); !ok {
+		t.Fatal("warm blob missing from the cache")
+	}
+
+	snaps := [][]byte{round1[0].Snapshot, nil}
+	round2 := (&Engine{Workers: 1, Cache: cache, WarmStart: true, Snapshots: snaps}).Run(context.Background(), jobs)
+	for i, j := range jobs {
+		got := round2[i]
+		if got.Paused || got.Err != "" {
+			t.Fatalf("job %d did not finish on resume: paused=%v err=%q", i, got.Paused, got.Err)
+		}
+		if !bytes.Equal(rowJSON(t, j.Run()), rowJSON(t, got)) {
+			t.Fatalf("job %d: warm, preempted and resumed row differs from the cold row", i)
+		}
+	}
+	if !bytes.Equal(rowJSON(t, round1[1]), rowJSON(t, round2[1])) {
+		t.Fatal("job 1: warm-forked row differs from its cached row")
 	}
 }
