@@ -23,9 +23,6 @@ type Module struct {
 	// HotRoots are the hotalloc entry points, defaulting to
 	// DefaultHotAllocRoots when nil.
 	HotRoots []RootSpec
-	// SnapDrivers are the statecov capture drivers, defaulting to
-	// DefaultSnapDrivers when nil.
-	SnapDrivers []RootSpec
 
 	graph *CallGraph // built lazily, shared across module analyzers
 }

@@ -76,24 +76,18 @@ type snapRoot struct {
 	restore bool
 }
 
-// DefaultSnapDrivers returns the entry points that drive checkpoint
-// capture and restore across all state holders.
-func DefaultSnapDrivers() []RootSpec {
-	return []RootSpec{
-		{Pkg: "flov/internal/snapshot", Func: "Save"},
-		{Pkg: "flov/internal/snapshot", Func: "Restore"},
-	}
+// snapDrivers are the entry points that drive checkpoint capture and
+// restore across all state holders.
+var snapDrivers = []RootSpec{
+	{Pkg: "flov/internal/snapshot", Func: "Save"},
+	{Pkg: "flov/internal/snapshot", Func: "Restore"},
 }
 
 func runStatecov(p *ModulePass) {
 	m := p.Module
 	graph := m.Graph()
 
-	drivers := m.SnapDrivers
-	if drivers == nil {
-		drivers = DefaultSnapDrivers()
-	}
-	for _, d := range drivers {
+	for _, d := range snapDrivers {
 		pkg, ok := m.pkg(d.Pkg)
 		if !ok {
 			return // the capture closure is incomplete; nothing can be judged

@@ -6,18 +6,28 @@ import (
 	"testing"
 )
 
-// loadSnapcovModule mounts the statecov fixture as a module package; its
-// root type drives its own capture.
+// snapfixPath is the import path the statecov fixture is mounted at.
+const snapfixPath = "flov/internal/snapfix"
+
+// loadSnapcovModule mounts the statecov fixture as a module package and
+// loads it beside the snapshot package, so statecov's drivers are in the
+// load set (the real package adds no findings of its own).
 func loadSnapcovModule(t *testing.T) *Module {
 	t.Helper()
-	const path = "flov/internal/snapfix"
-	loader := newDirLoader(t, map[string]string{path: "snapcov"})
-	if _, err := loader.Load(path); err != nil {
-		t.Fatal(err)
+	return loadWithSnapshot(t, map[string]string{snapfixPath: "snapcov"})
+}
+
+// loadWithSnapshot loads the statecov fixture and flov/internal/snapshot
+// through a loader with the given fixture mounts.
+func loadWithSnapshot(t *testing.T, mounts map[string]string) *Module {
+	t.Helper()
+	loader := newDirLoader(t, mounts)
+	for _, path := range []string{snapfixPath, "flov/internal/snapshot"} {
+		if _, err := loader.Load(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m := NewModule(loader.ModulePath, loader.Fset, loader.Packages())
-	m.SnapDrivers = []RootSpec{{Pkg: path, Recv: "Sim", Func: "CaptureState"}}
-	return m
+	return NewModule(loader.ModulePath, loader.Fset, loader.Packages())
 }
 
 // TestStatecovFixture checks statecov against the marked fixture: the
@@ -103,11 +113,15 @@ func TestStatecovSilentWithoutDriver(t *testing.T) {
 
 // TestStatecovDriverRot: a driver inside a loaded package that no longer
 // resolves is itself a finding, so the driver list cannot silently rot.
+// The fixture snaprot stands in for the snapshot package with Save
+// renamed.
 func TestStatecovDriverRot(t *testing.T) {
-	m := loadSnapcovModule(t)
-	m.SnapDrivers = []RootSpec{{Pkg: "flov/internal/snapfix", Func: "NoSuchDriver"}}
+	m := loadWithSnapshot(t, map[string]string{
+		snapfixPath:              "snapcov",
+		"flov/internal/snapshot": "snaprot",
+	})
 	diags := RunModule(m, []*ModuleAnalyzer{StatecovAnalyzer})
-	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "driver flov/internal/snapfix.NoSuchDriver not found") {
+	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "driver flov/internal/snapshot.Save not found") {
 		t.Fatalf("want one driver-rot finding, got %v", diags)
 	}
 }

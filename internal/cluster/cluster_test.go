@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"flov/internal/service"
+	"flov/internal/snapshot"
 	"flov/internal/sweep"
 )
 
@@ -148,7 +149,7 @@ func TestClusterByteIdentical(t *testing.T) {
 	// Worker alpha (cold local cache) runs short slices: it preempts,
 	// checkpointing in-run points, until at least one snapshot is durable.
 	// A slice ends at its third poll, after both started points have run
-	// a quantum.
+	// a quantum, so every checkpoint lies inside the measurement window.
 	alpha := &Worker{Store: store, Cache: newCache(t), Name: "alpha",
 		LeaseTTL: time.Minute, Slice: time.Millisecond, Workers: 2, slice: pollSlices(3)}
 	for i := 0; i < 100 && !anySnapshot(store, rec.ID, len(points)); i++ {
@@ -165,6 +166,22 @@ func TestClusterByteIdentical(t *testing.T) {
 	_, _, _, preempted := alpha.Counters()
 	if preempted == 0 {
 		t.Fatal("alpha never preempted")
+	}
+	// The slices beta steals must resume mid-measurement, where the
+	// statistics ledger is live, not at the warmup boundary.
+	for i, p := range points {
+		snap, ok := store.Snapshot(rec.ID, i)
+		if !ok {
+			continue
+		}
+		st, err := snapshot.Load(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("point %d: stored checkpoint: %v", i, err)
+		}
+		if st.Net.Now <= p.Config.WarmupCycles {
+			t.Fatalf("point %d: checkpoint at cycle %d, not past the %d-cycle warmup",
+				i, st.Net.Now, p.Config.WarmupCycles)
+		}
 	}
 
 	// Alpha crashes mid-epoch: it claims the job again and dies without

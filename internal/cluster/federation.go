@@ -197,13 +197,13 @@ func (p *Peers) FetchBlob(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Warm pulls a job's cached result from peers into the local cache when
-// absent, so the engine's subsequent lookups hit locally. A synthetic
-// point with a warmup phase that no peer has a row for gets its warm
-// blob instead, when a peer has one, so the worker's warm-started engine
-// forks it. Best-effort: any failure simply leaves the point to
-// simulate.
-func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job) (adopted int) {
+// Warm pulls from peers into e's cache what e will look up for jobs, so
+// its lookups hit locally: a job's cached result when absent and, when
+// e warm-starts, the warm blob of a synthetic point with a warmup phase
+// that no peer has a row for. Best-effort: any failure simply leaves the
+// point to simulate.
+func (p *Peers) Warm(e *sweep.Engine, jobs []sweep.Job) (adopted int) {
+	c := e.Cache
 	if p.Len() == 0 || c == nil {
 		return 0
 	}
@@ -217,7 +217,7 @@ func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job) (adopted int) {
 			}
 			continue
 		}
-		if j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
+		if e.WarmStart && j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
 			key := j.WarmKey()
 			if _, ok := c.GetBlob(key); !ok {
 				if blob, ok := p.FetchBlob(key); ok {

@@ -20,6 +20,11 @@ func fillCache(t *testing.T, c *sweep.Cache, points []sweep.Job) {
 	engine.Run(context.Background(), points)
 }
 
+// warmEngine is a warm-starting engine over c, what Warm fills for.
+func warmEngine(c *sweep.Cache) *sweep.Engine {
+	return &sweep.Engine{Cache: c, WarmStart: true}
+}
+
 func TestFederationEntryFetch(t *testing.T) {
 	points := mustPoints(t, testSpec(0.1, 0.2))
 	remote := newCache(t)
@@ -30,7 +35,7 @@ func TestFederationEntryFetch(t *testing.T) {
 	peers := NewPeers([]string{srv.URL})
 
 	local := newCache(t)
-	if n := peers.Warm(local, points); n != len(points) {
+	if n := peers.Warm(warmEngine(local), points); n != len(points) {
 		t.Fatalf("Warm adopted %d entries, want %d", n, len(points))
 	}
 	hits, misses, rejected := peers.Counters()
@@ -49,7 +54,7 @@ func TestFederationEntryFetch(t *testing.T) {
 		}
 	}
 	// Re-warming is a no-op: everything already local.
-	if n := peers.Warm(local, points); n != 0 {
+	if n := peers.Warm(warmEngine(local), points); n != 0 {
 		t.Fatalf("second Warm adopted %d, want 0", n)
 	}
 }
@@ -81,7 +86,7 @@ func TestFederationRejectsCorruptEntry(t *testing.T) {
 		t.Fatalf("rejected=%d misses=%d, want 1/1", rejected, misses)
 	}
 	local := newCache(t)
-	if n := peers.Warm(local, points); n != 0 {
+	if n := peers.Warm(warmEngine(local), points); n != 0 {
 		t.Fatalf("Warm adopted %d corrupt entries", n)
 	}
 }
@@ -115,8 +120,9 @@ func TestFederationBlobFetch(t *testing.T) {
 }
 
 // TestFederationWarmBlobOnlyForMissingRows: Warm fetches a point's warm
-// blob only when no peer has its row — a fetched row makes the blob
-// useless, since the engine serves the row without simulating.
+// blob only for an engine that warm-starts, and only when no peer has the
+// point's row — a fetched row makes the blob useless, since the engine
+// serves the row without simulating.
 func TestFederationWarmBlobOnlyForMissingRows(t *testing.T) {
 	points := mustPoints(t, testSpec(0.1, 0.2))
 	remote := newCache(t)
@@ -130,8 +136,17 @@ func TestFederationWarmBlobOnlyForMissingRows(t *testing.T) {
 
 	srv := httptest.NewServer(CacheHandler(remote))
 	defer srv.Close()
+
+	cold := newCache(t)
+	if n := NewPeers([]string{srv.URL}).Warm(&sweep.Engine{Cache: cold}, points); n != 1 {
+		t.Fatalf("cold engine: Warm adopted %d, want only the row of point 0", n)
+	}
+	if _, ok := cold.GetBlob(points[1].WarmKey()); ok {
+		t.Fatal("cold engine: warm blob fetched although nothing restores it")
+	}
+
 	local := newCache(t)
-	if n := NewPeers([]string{srv.URL}).Warm(local, points); n != 2 {
+	if n := NewPeers([]string{srv.URL}).Warm(warmEngine(local), points); n != 2 {
 		t.Fatalf("Warm adopted %d, want the row of point 0 and the blob of point 1", n)
 	}
 	if _, ok := local.Get(points[0]); !ok {
@@ -181,7 +196,7 @@ func TestFederationDeadPeer(t *testing.T) {
 	if _, ok := peers.FetchResult(points[0]); ok {
 		t.Fatal("dead peer produced a hit")
 	}
-	if n := peers.Warm(newCache(t), points); n != 0 {
+	if n := peers.Warm(warmEngine(newCache(t)), points); n != 0 {
 		t.Fatalf("Warm over dead peer adopted %d", n)
 	}
 }

@@ -273,13 +273,25 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		w.logf("%s: adopted %d checkpoint snapshot(s)", rec.ID, adoptedSnaps)
 	}
 
-	// Cache federation: pull rows computed elsewhere (and warm blobs for
-	// points no peer has a row for) into the local cache before
-	// simulating.
-	if w.Peers.Len() > 0 && w.Cache != nil {
-		if n := w.Peers.Warm(w.Cache, pending); n > 0 {
-			w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
-		}
+	// Warm start publishes a ~20 KB blob per point and pays off only for
+	// a point whose warmup prefix an earlier job already published (no
+	// two jobs of the paper's figure grids share one); time-sliced
+	// workers leave it off.
+	obs := &sliceObserver{w: w, job: rec.ID, epoch: lease.Epoch,
+		idx: idx, total: len(rec.Points), errs: make(map[int]sweep.Result)}
+	engine := &sweep.Engine{
+		Workers:   w.Workers,
+		Cache:     w.Cache,
+		Progress:  obs,
+		WarmStart: w.Slice <= 0 && w.Cache != nil,
+		Snapshots: snaps,
+	}
+
+	// Cache federation: pull what the engine will look up (rows computed
+	// elsewhere, and warm blobs when it warm-starts) into the local cache
+	// before simulating.
+	if n := w.Peers.Warm(engine, pending); n > 0 {
+		w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
 	}
 
 	// The job's deadline is absolute (set once at submit), so requeues
@@ -314,15 +326,6 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		}
 	}()
 
-	obs := &sliceObserver{w: w, job: rec.ID, epoch: lease.Epoch,
-		idx: idx, total: len(rec.Points), errs: make(map[int]sweep.Result)}
-	engine := &sweep.Engine{
-		Workers:   w.Workers,
-		Cache:     w.Cache,
-		Progress:  obs,
-		WarmStart: w.Cache != nil,
-		Snapshots: snaps,
-	}
 	if w.Slice > 0 {
 		expired, stop := w.startSlice()
 		defer stop()
