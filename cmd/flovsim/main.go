@@ -192,24 +192,19 @@ func runBench(bench string, mech flov.Mechanism, seed uint64, restoreFile, ckptF
 			return flov.Outcome{}, err
 		}
 	}
-	const maxCycles = 20_000_000
 	if ckptFile != "" {
-		for n.Now() < maxCycles && !d.Finished() {
-			next := n.Now() + ckptEvery
-			if next > maxCycles {
-				next = maxCycles
-			}
-			d.RunUntil(next)
+		for n.Now() < flov.DefaultMaxCycles && !d.Finished() {
+			d.RunUntil(min(n.Now()+ckptEvery, flov.DefaultMaxCycles))
 			if err := saveCheckpoint(ckptFile, n, d); err != nil {
 				return flov.Outcome{}, err
 			}
 		}
 	} else {
-		d.RunUntil(maxCycles)
+		d.RunUntil(flov.DefaultMaxCycles)
 	}
 	out := d.Outcome()
 	if !out.Completed {
-		return out, fmt.Errorf("benchmark %s/%v did not complete within %d cycles", bench, mech, int64(maxCycles))
+		return out, flov.IncompleteError(bench, mech, flov.DefaultMaxCycles)
 	}
 	return out, nil
 }

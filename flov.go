@@ -237,10 +237,20 @@ func Benchmarks() []string {
 // ProfileByName returns the profile for a benchmark name.
 func ProfileByName(name string) (Profile, bool) { return trace.ProfileByName(name) }
 
+// DefaultMaxCycles bounds a PARSEC run whose maxCycles is 0.
+const DefaultMaxCycles = sweep.DefaultMaxCycles
+
+// IncompleteError is the error of a PARSEC run of benchmark under m that
+// reached its cycle bound before the benchmark finished; RunPARSEC
+// reports the same text.
+func IncompleteError(benchmark string, m Mechanism, bound int64) error {
+	return sweep.IncompleteError(benchmark, m, bound)
+}
+
 // RunPARSEC executes one PARSEC-substitute benchmark under a mechanism
 // and returns the full-system outcome (runtime + energy). seed controls
 // the workload's random draws; identical seeds give identical work across
-// mechanisms. maxCycles bounds the run (0 means a generous default).
+// mechanisms. maxCycles bounds the run (0 means DefaultMaxCycles).
 func RunPARSEC(benchmark string, m Mechanism, seed uint64, maxCycles int64) (Outcome, error) {
 	prof, ok := trace.ProfileByName(benchmark)
 	if !ok {
@@ -261,7 +271,7 @@ func RunProfile(prof Profile, m Mechanism, seed uint64, maxCycles int64) (Outcom
 // profileJob is the one PARSEC point setup behind RunProfile,
 // BuildProfile and PARSECJob: the full-system config with no warmup and
 // an unbounded measurement window (the driver ends the run), bounded by
-// maxCycles (0 means the sweep runner's default of 20M cycles).
+// maxCycles (0 means DefaultMaxCycles).
 func profileJob(prof Profile, m Mechanism, seed uint64, maxCycles int64) SweepJob {
 	cfg := FullSystem()
 	cfg.WarmupCycles = 0

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -104,6 +105,26 @@ func TestFrontDoorSubmitAndDedup(t *testing.T) {
 	if err := json.Unmarshal(lines[0], &ev); err != nil || ev.Type != service.EventAccepted ||
 		ev.ID != st.ID || ev.Total != 1 {
 		t.Fatalf("accepted line = %s (err %v)", lines[0], err)
+	}
+}
+
+// TestFrontDoorOversizedSpecRejected: a spec that expands past
+// sweep.MaxSpecPoints answers 400 on both submit routes and stores no
+// job.
+func TestFrontDoorOversizedSpecRejected(t *testing.T) {
+	store := openStore(t)
+	srv := newFrontDoor(t, store, FrontDoorConfig{})
+	huge := testSpec(make([]float64, sweep.MaxSpecPoints+1)...)
+	for _, route := range []string{"/v1/sweeps", "/v1/sweeps/run"} {
+		resp := postSpec(t, srv.URL+route, huge, "acme")
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "points") {
+			t.Fatalf("%s: HTTP %d %s, want 400 naming the point cap", route, resp.StatusCode, body)
+		}
+	}
+	if ids, err := store.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("rejected spec stored jobs %v (err %v)", ids, err)
 	}
 }
 

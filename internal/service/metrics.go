@@ -75,7 +75,7 @@ func (m *metrics) render(b *strings.Builder, queueDepth, running int, draining b
 	counter("flovd_handler_panics_total", "HTTP handler panics recovered", m.panics.Load())
 	if cache != nil {
 		hits, misses, writes := cache.Counters()
-		counter("flovd_cache_hits_total", "result-cache lookups served from disk", hits)
+		counter("flovd_cache_hits_total", "result-cache lookups that hit, on disk or in memory", hits)
 		counter("flovd_cache_misses_total", "result-cache lookups that missed", misses)
 		counter("flovd_cache_writes_total", "result-cache entries written", writes)
 	}

@@ -588,7 +588,8 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestBadSpecRejected: parse and expansion failures answer 400.
+// TestBadSpecRejected: parse and expansion failures, and specs past
+// the point cap, answer 400.
 func TestBadSpecRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader("{not json"))
@@ -607,6 +608,17 @@ func TestBadSpecRejected(t *testing.T) {
 		t.Fatalf("bad mechanism: HTTP %d, want 400", resp2.StatusCode)
 	}
 	_ = resp2.Body.Close()
+
+	// A spec past the point cap is refused on both submit routes.
+	huge := testSpec(make([]float64, sweep.MaxSpecPoints+1)...)
+	for _, route := range []string{"/v1/sweeps", "/v1/sweeps/run"} {
+		resp := postSpec(t, ts.URL+route, huge)
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "points") {
+			t.Fatalf("%s: HTTP %d %s, want 400 naming the point cap", route, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestDebugEventsTail: the ring records the lifecycle and /debug/events

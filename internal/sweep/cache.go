@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,14 +17,31 @@ import (
 // serving stale rows. Layout: <dir>/<hh>/<hash>.json where hh is the
 // first hash byte, to keep directories small.
 //
+// Each handle also keeps the last memRows rows it read and verified
+// from disk in memory, so a hash it has served once is served again
+// without a file read, a JSON decode or a re-hash of the stored job.
+// Only verified disk reads fill the table (Put does not), so it never
+// holds a row a disk read would not have served. Rows are
+// content-addressed, so a table row stays correct even after another
+// process clears or rewrites the directory.
+//
 // Concurrent use — including by multiple processes sharing a directory —
 // is safe: writes go through a unique temp file plus rename, and reads
 // that race a write simply miss and re-simulate.
 type Cache struct {
 	dir string
 
+	mu   sync.Mutex
+	mem  map[string]Result // verified rows by hash
+	fifo [memRows]string   // hashes in mem, oldest at next once full
+	next int
+
 	hits, misses, writes atomic.Int64
 }
+
+// memRows bounds a handle's in-memory table; the oldest row is evicted
+// first. It holds every job cmd/figures submits (706) with room to spare.
+const memRows = 1024
 
 // entry is the cache file format: the job (for human inspection and
 // integrity checking), the result payload, and the original simulation
@@ -69,19 +88,60 @@ func (c *Cache) path(hash string) string {
 // seeing an error-carrying Result for a point that would simulate fine.
 func (c *Cache) Get(j Job) (Result, bool) {
 	hash := j.Hash()
+	c.mu.Lock()
+	r, ok := c.mem[hash]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+		return r.clone(), true
+	}
 	data, err := os.ReadFile(c.path(hash))
 	if err != nil {
 		c.misses.Add(1)
 		return Result{}, false
 	}
-	r, ok := DecodeEntry(hash, data)
+	r, ok = DecodeEntry(hash, data)
 	if !ok {
 		_ = os.Remove(c.path(hash)) // best effort: a stale entry just misses again
 		c.misses.Add(1)
 		return Result{}, false
 	}
+	c.remember(hash, r)
 	c.hits.Add(1)
-	return r, true
+	return r.clone(), true
+}
+
+// remember adds a verified row to the in-memory table, evicting the
+// oldest row once the table is full.
+func (c *Cache) remember(hash string, r Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.mem[hash]; ok {
+		return // a concurrent Get of the same hash got here first
+	}
+	if c.mem == nil {
+		c.mem = make(map[string]Result)
+	}
+	if old := c.fifo[c.next]; old != "" {
+		delete(c.mem, old)
+	}
+	c.mem[hash] = r
+	c.fifo[c.next] = hash
+	c.next = (c.next + 1) % memRows
+}
+
+// clone returns r with its own backing arrays, so a caller that edits
+// the row it was served cannot reach the in-memory table's copy.
+func (r Result) clone() Result {
+	r.Res.Timeline = slices.Clone(r.Res.Timeline)
+	r.Job.Protect = slices.Clone(r.Job.Protect)
+	r.Job.Hotspots = slices.Clone(r.Job.Hotspots)
+	if r.Job.Faults != nil {
+		f := *r.Job.Faults
+		f.Schedule = slices.Clone(f.Schedule)
+		r.Job.Faults = &f
+	}
+	return r
 }
 
 // DecodeEntry validates raw entry bytes against the hash they claim to
@@ -202,8 +262,11 @@ func (c *Cache) RemoveBlob(key string) {
 }
 
 // Clear removes every cached entry (the whole directory tree) and
-// recreates the root.
+// recreates the root, and empties this handle's in-memory table.
 func (c *Cache) Clear() error {
+	c.mu.Lock()
+	c.mem, c.fifo, c.next = nil, [memRows]string{}, 0
+	c.mu.Unlock()
 	if err := os.RemoveAll(c.dir); err != nil {
 		return err
 	}

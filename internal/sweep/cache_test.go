@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"flov/internal/config"
+	"flov/internal/fault"
 )
 
 func TestCacheRoundTrip(t *testing.T) {
@@ -290,5 +291,152 @@ func TestDefaultDirEnvOverride(t *testing.T) {
 	}
 	if d != "/tmp/custom-flov-cache" {
 		t.Fatalf("DefaultDir = %q", d)
+	}
+}
+
+// memJob is a point with every slice-carrying field set, so the
+// in-memory table's copies are exercised on all of them.
+func memJob() Job {
+	j := quickJob(config.GFLOV, 0.02, 0.5)
+	j.Protect = []int{0, 5}
+	j.Faults = &fault.Spec{Seed: 3, Schedule: []fault.Event{{At: 1_000, Kind: "link", Node: 5, Dir: "E", Transient: 200}}}
+	return j
+}
+
+// TestCacheServesVerifiedRowsFromMemory: once a handle has read and
+// verified an entry, it serves that row without the file; a fresh
+// handle on the same directory has only the disk.
+func TestCacheServesVerifiedRowsFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := memJob()
+	r := j.Run()
+	if r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if err := c.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := c.Get(j)
+	if !ok {
+		t.Fatal("stored entry missed")
+	}
+	if err := os.Remove(c.path(j.Hash())); err != nil {
+		t.Fatal(err)
+	}
+	second, ok := c.Get(j)
+	if !ok {
+		t.Fatal("verified row was not served from memory once its file was gone")
+	}
+	if !bytes.Equal(rowJSON(t, first), rowJSON(t, second)) || first.Wall != second.Wall {
+		t.Fatal("row served from memory differs from the disk read")
+	}
+	if hits, misses, _ := c.Counters(); hits != 2 || misses != 0 {
+		t.Fatalf("counters: %d hits, %d misses; want 2, 0", hits, misses)
+	}
+	fresh, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Get(j); ok {
+		t.Fatal("a fresh handle served a row whose file is gone")
+	}
+}
+
+// TestCacheMemoryRowsAreCopies: editing a served row's slices leaves the
+// next Get unchanged.
+func TestCacheMemoryRowsAreCopies(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := memJob()
+	r := j.Run()
+	if r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if len(r.Res.Timeline) == 0 {
+		t.Fatal("test setup: run has no timeline")
+	}
+	if err := c.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the disk read's row, then a memory row
+		got, ok := c.Get(j)
+		if !ok {
+			t.Fatal("stored entry missed")
+		}
+		want := rowJSON(t, got)
+		got.Res.Timeline[0].Count += 100
+		got.Job.Protect[0] = 9
+		got.Job.Faults.Schedule[0].At = 7
+		got.Job.Faults.Seed = 4
+		again, ok := c.Get(j)
+		if !ok {
+			t.Fatal("entry missed after a served row was edited")
+		}
+		if !bytes.Equal(rowJSON(t, again), want) {
+			t.Fatalf("editing served row %d changed the cached one", i)
+		}
+	}
+}
+
+// TestCacheMemoryEvictsOldest: the table holds memRows rows; after
+// memRows+1 distinct verified reads the first row is read from disk
+// again, so with its file gone it misses, while the newest still hits.
+func TestCacheMemoryEvictsOldest(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]Job, memRows+1)
+	for i := range jobs {
+		jobs[i] = quickJob(config.Baseline, 0.02, 0)
+		jobs[i].MaskSeed = uint64(i)
+		if err := c.Put(Result{Job: jobs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(jobs[i]); !ok {
+			t.Fatalf("job %d missed", i)
+		}
+	}
+	for _, i := range []int{0, memRows} {
+		if err := os.Remove(c.path(jobs[i].Hash())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Get(jobs[0]); ok {
+		t.Fatal("the oldest row was not evicted")
+	}
+	if _, ok := c.Get(jobs[memRows]); !ok {
+		t.Fatal("the newest row was evicted")
+	}
+}
+
+// TestEngineWarmCacheParallel: four workers sharing one handle, with
+// repeated points, read the same rows from disk and then from memory
+// (run it under -race).
+func TestEngineWarmCacheParallel(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := testGrid()
+	cold := (&Engine{Workers: 4, Cache: c}).Run(context.Background(), grid)
+	jobs := append(append([]Job{}, grid...), grid...)
+	want := append(append([]Result{}, cold...), cold...)
+	for round := 0; round < 2; round++ {
+		warm := (&Engine{Workers: 4, Cache: c}).Run(context.Background(), jobs)
+		for i, r := range warm {
+			if !r.CacheHit {
+				t.Fatalf("round %d: job %d missed", round, i)
+			}
+		}
+		if !reflect.DeepEqual(stripTransient(warm), stripTransient(want)) {
+			t.Fatalf("round %d: warm rows differ from simulated rows", round)
+		}
 	}
 }

@@ -65,3 +65,57 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadJobs hardens the spec decoder both serving planes admit
+// sweeps through. Seeded from the perfbench serve grid, the spec bodies
+// of the tests and of CI, a PARSEC spec and a spec one point over
+// MaxSpecPoints: ReadJobs must never panic, must return an error or
+// between 1 and MaxSpecPoints jobs, and every job must survive a JSON
+// round trip with its hash intact.
+//
+//	go test -run '^$' -fuzz '^FuzzReadJobs$' -fuzztime 30s ./internal/sweep/
+func FuzzReadJobs(f *testing.F) {
+	for _, body := range []string{
+		`{"patterns":["uniform","tornado"],"rates":[0.02,0.08],"gated_fractions":[0,0.2,0.4,0.6,0.8],` +
+			`"mechanisms":["all"],"cycles":2000,"warmup":200,"seed":1}`,
+		`{}`,
+		`{"patterns":["uniform"],"rates":[0.02],"gated_fractions":[0.5],"mechanisms":["all"]}`,
+		`{"rates":`,
+		`{"mechanisms":["x"]}`,
+		`{"patterns":["uniform"],"rates":[0.05,0.1,0.15],"gated_fractions":[0.5],"mechanisms":["baseline","gflov"],` +
+			`"width":4,"height":4,"cycles":20000,"warmup":500,"seed":7}`,
+		`{"patterns":["hotspot"],"rates":[0.02],"width":4,"height":4,"cycles":8000,"faults":{"seed":9,"link_rate":1e-4,` +
+			`"transient_cycles":60,"schedule":[{"at":2000,"kind":"router","node":5},{"at":3000,"kind":"link","node":9,"dir":"E"}]}}`,
+		`{"benchmarks":["all"],"mechanisms":["baseline","gflov"],"max_cycles":100000}`,
+	} {
+		f.Add([]byte(body))
+	}
+	oversized, err := json.Marshal(oversizedSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oversized)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		jobs, err := ReadJobs(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if len(jobs) < 1 || len(jobs) > MaxSpecPoints {
+			t.Fatalf("ReadJobs accepted %d jobs, want 1..%d", len(jobs), MaxSpecPoints)
+		}
+		for i, j := range jobs {
+			data, err := json.Marshal(j)
+			if err != nil {
+				t.Fatalf("job %d: marshal: %v", i, err)
+			}
+			var back Job
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("job %d: unmarshal %s: %v", i, data, err)
+			}
+			if back.Hash() != j.Hash() {
+				t.Fatalf("job %d: round trip changed the hash:\n%s", i, data)
+			}
+		}
+	})
+}

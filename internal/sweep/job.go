@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"time"
 
@@ -122,9 +123,10 @@ type jobJSON struct {
 	MaxCycles int64         `json:"max_cycles,omitempty"`
 }
 
-// MarshalJSON renders the job with symbolic kind/pattern/mechanism names.
-func (j Job) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jobJSON{
+// wire is the job's wire form. MarshalJSON and the hash preimage both
+// encode it, so a spec, a cached row and a cache key spell a job alike.
+func (j Job) wire() jobJSON {
+	return jobJSON{
 		Kind:      j.Kind.String(),
 		Config:    j.Config,
 		Pattern:   j.Pattern.String(),
@@ -138,7 +140,12 @@ func (j Job) MarshalJSON() ([]byte, error) {
 		Profile:   j.Profile,
 		Seed:      j.Seed,
 		MaxCycles: j.MaxCycles,
-	})
+	}
+}
+
+// MarshalJSON renders the job with symbolic kind/pattern/mechanism names.
+func (j Job) MarshalJSON() ([]byte, error) {
+	return json.Marshal(j.wire())
 }
 
 // UnmarshalJSON parses the symbolic wire form back into a Job.
@@ -202,24 +209,36 @@ var moduleVersion = func() string {
 	return "unknown"
 }()
 
-// Hash returns the canonical content hash of the job: SHA-256 over the
-// schema version, module version and the canonical JSON encoding (field
-// order is fixed by the wire struct, floats render shortest-form, so the
-// encoding is deterministic).
-func (j Job) Hash() string {
-	enc, err := json.Marshal(j)
+// canonical is the job's canonical encoding, the preimage of Hash and
+// WarmKey: the same bytes as json.Marshal(j), without the second pass
+// encoding/json makes over a Marshaler's output to validate and compact
+// it (field order is fixed by the wire struct and floats render
+// shortest-form, so the encoding is deterministic).
+func (j Job) canonical() []byte {
+	enc, err := json.Marshal(j.wire())
 	if err != nil {
 		// Job is plain data; Marshal cannot fail on it. Guard anyway so a
 		// future field type mistake surfaces as distinct hashes, not
 		// silent cache collisions.
 		enc = []byte(fmt.Sprintf("unencodable:%#v", j))
 	}
+	return enc
+}
+
+// digest is the hex SHA-256 of tag, the schema, snapshot schema and
+// module versions, and the job's canonical encoding.
+func (j Job) digest(tag string) string {
 	h := sha256.New()
 	// hash.Hash.Write is documented to never return an error.
-	_, _ = fmt.Fprintf(h, "%s|%s|%s|", SchemaVersion, snapSchemaVersion, moduleVersion)
-	_, _ = h.Write(enc)
+	_, _ = io.WriteString(h, tag+SchemaVersion+"|"+snapSchemaVersion+"|"+moduleVersion+"|")
+	_, _ = h.Write(j.canonical())
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// Hash returns the canonical content hash of the job: SHA-256 over the
+// schema version, snapshot schema version, module version and the
+// canonical encoding.
+func (j Job) Hash() string { return j.digest("") }
 
 // Desc is a short human-readable point description for progress lines.
 func (j Job) Desc() string {

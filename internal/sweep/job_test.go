@@ -1,12 +1,16 @@
 package sweep
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"flov/internal/config"
+	"flov/internal/fault"
 	"flov/internal/trace"
 	"flov/internal/traffic"
 )
@@ -111,6 +115,70 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobCanonicalIsMarshal: the hash preimage is exactly the bytes
+// json.Marshal renders for the job, for every field shape a job can
+// carry, so hashing without the Marshaler pass orphans no cache entry
+// or warm blob written by a build that hashed json.Marshal(j).
+func TestJobCanonicalIsMarshal(t *testing.T) {
+	prefix := SchemaVersion + "|" + snapSchemaVersion + "|" + moduleVersion + "|"
+	rich := quickJob(config.GFLOV, 0.05, 0.25)
+	rich.Pattern = traffic.Hotspot
+	rich.Protect = []int{0, 3}
+	rich.Hotspots = []int{5, 10}
+	rich.Faults = &fault.Spec{Seed: 3, LinkRate: 1e-4, Schedule: []fault.Event{
+		{At: 100, Kind: "link", Node: 5, Dir: "E", Transient: 40},
+		{At: 200, Kind: "router", Node: 9},
+	}}
+	cases := map[string]Job{"synthetic with protect, hotspots and faults": rich}
+	for _, p := range traffic.Patterns() {
+		j := quickJob(config.RP, 0.02, 0.5)
+		j.Pattern = p
+		cases["pattern "+p.String()] = j
+	}
+	parsec, err := (Spec{Benchmarks: []string{"dedup"}, Mechanisms: []string{"gflov"}}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["parsec"] = parsec[0]
+	for name, j := range cases {
+		want, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.canonical(); string(got) != string(want) {
+			t.Errorf("%s: canonical encoding differs from json.Marshal:\n%s\n%s", name, got, want)
+		}
+		if sum := sha256.Sum256(append([]byte(prefix), want...)); j.Hash() != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: Hash is not SHA-256 of the versions and json.Marshal(j)", name)
+		}
+	}
+
+	// WarmKey hashes the job with its measurement window zeroed.
+	w := rich
+	w.Config.TotalCycles, w.Config.DrainCycles = 0, 0
+	want, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(append([]byte("warm|"+prefix), want...)); rich.WarmKey() != hex.EncodeToString(sum[:]) {
+		t.Error("WarmKey is not SHA-256 of the versions and json.Marshal of the windowless job")
+	}
+}
+
+// TestJobCanonicalPinned pins one job's canonical encoding (without the
+// version prefix, which differs between builds). Any change to it
+// orphans every cache entry and warm blob, so update the literal only
+// when that is intended (a new Config field, say).
+func TestJobCanonicalPinned(t *testing.T) {
+	j := quickJob(config.GFLOV, 0.02, 0.5)
+	j.Protect = []int{0, 5}
+	sum := sha256.Sum256(j.canonical())
+	const want = "28edd7966dc039e5d0c6c55cad4df37eb6209267dae617a11525114cfef4855f"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("canonical encoding hash = %s, want %s\n%s", got, want, j.canonical())
+	}
+}
+
 func TestJobJSONSymbolicNames(t *testing.T) {
 	data, err := json.Marshal(quickJob(config.GFLOV, 0.02, 0.5))
 	if err != nil {
@@ -199,6 +267,33 @@ func TestReadJobs(t *testing.T) {
 			t.Errorf("ReadJobs(%.20q) = %v, want error containing %q", body, err, want)
 		}
 	}
+}
+
+// TestSpecPointCap: a spec expands to at most MaxSpecPoints points, and
+// one point more is refused before any job is built.
+func TestSpecPointCap(t *testing.T) {
+	atCap := Spec{Rates: make([]float64, 256), GatedFracs: make([]float64, 64), Mechanisms: []string{"all"}}
+	jobs, err := atCap.Jobs()
+	if err != nil || len(jobs) != MaxSpecPoints {
+		t.Fatalf("spec at the cap: %d jobs, %v; want %d", len(jobs), err, MaxSpecPoints)
+	}
+	body, err := json.Marshal(oversizedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("more than %d points", MaxSpecPoints)
+	if _, err := ReadJobs(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("spec one point over the cap: %v, want error containing %q", err, want)
+	}
+	parsec := Spec{Benchmarks: make([]string, MaxSpecPoints/4+1), Mechanisms: []string{"all"}}
+	if _, err := parsec.Jobs(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("PARSEC spec over the cap: %v, want error containing %q", err, want)
+	}
+}
+
+// oversizedSpec expands to exactly one point more than MaxSpecPoints.
+func oversizedSpec() Spec {
+	return Spec{Rates: make([]float64, MaxSpecPoints+1), Mechanisms: []string{"gflov"}}
 }
 
 func TestSpecPARSEC(t *testing.T) {

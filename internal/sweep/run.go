@@ -2,11 +2,9 @@ package sweep
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"flov/internal/config"
 	"flov/internal/gating"
 	"flov/internal/network"
 	"flov/internal/sim"
@@ -22,8 +20,14 @@ import (
 // livelock a sweep — every requeue cycle moves each job forward.
 const resumeQuantum = 4096
 
-// defaultMaxCycles bounds a PARSEC job that leaves MaxCycles unset.
-const defaultMaxCycles = 20_000_000
+// DefaultMaxCycles bounds a PARSEC job that leaves MaxCycles unset.
+const DefaultMaxCycles = 20_000_000
+
+// IncompleteError is the error of a PARSEC run of benchmark under mech
+// that reached its cycle bound before the benchmark finished.
+func IncompleteError(benchmark string, mech config.Mechanism, bound int64) error {
+	return fmt.Errorf("sweep: benchmark %s/%v did not complete within %d cycles", benchmark, mech, bound)
+}
 
 // WarmKey is the cache key for the job's post-warmup snapshot. Jobs that
 // differ only in measurement window (TotalCycles, DrainCycles) simulate
@@ -34,14 +38,7 @@ const defaultMaxCycles = 20_000_000
 func (j Job) WarmKey() string {
 	j.Config.TotalCycles = 0
 	j.Config.DrainCycles = 0
-	enc, err := json.Marshal(j)
-	if err != nil {
-		enc = []byte(fmt.Sprintf("unencodable:%#v", j))
-	}
-	h := sha256.New()
-	_, _ = fmt.Fprintf(h, "warm|%s|%s|%s|", SchemaVersion, snapSchemaVersion, moduleVersion)
-	_, _ = h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil))
+	return j.digest("warm|")
 }
 
 // Build assembles (but does not run) the job's simulation: the network
@@ -113,7 +110,7 @@ func (j Job) run(snap []byte, warm *Cache, pause func() bool) Result {
 	end := j.Config.TotalCycles
 	if d != nil {
 		if end = j.MaxCycles; end <= 0 {
-			end = defaultMaxCycles
+			end = DefaultMaxCycles
 		}
 	}
 	var warmKey string
@@ -186,8 +183,7 @@ func (j Job) run(snap []byte, warm *Cache, pause func() bool) Result {
 	}
 	r.Out = d.Outcome()
 	if !r.Out.Completed {
-		r.Err = fmt.Sprintf("sweep: benchmark %s/%v did not complete within %d cycles",
-			j.Profile.Name, j.Mechanism, end)
+		r.Err = IncompleteError(j.Profile.Name, j.Mechanism, end).Error()
 	}
 	return r
 }

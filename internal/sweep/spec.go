@@ -70,6 +70,12 @@ func LoadSpec(path string) (Spec, error) {
 // a few hundred bytes, so 1 MiB is generous and still DoS-safe.
 const MaxSpecBytes = 1 << 20
 
+// MaxSpecPoints bounds the points one spec may expand to. The body
+// bound alone does not bound the expansion (a 2 KB cross product can
+// name 400,000 points), and every point costs memory and a hash before
+// anything runs. Every experiment of cmd/figures together submits 706.
+const MaxSpecPoints = 1 << 16
+
 // ReadSpecBody reads a submitted spec body of at most MaxSpecBytes.
 func ReadSpecBody(r io.Reader) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r, MaxSpecBytes+1))
@@ -83,8 +89,8 @@ func ReadSpecBody(r io.Reader) ([]byte, error) {
 }
 
 // ReadJobs reads a submitted JSON spec (bounded by MaxSpecBytes) and
-// expands it into its point list; a spec that expands to nothing is an
-// error. Both serving planes admit sweeps through it.
+// expands it into its point list (bounded by MaxSpecPoints); a spec that
+// expands to nothing is an error. Both serving planes admit sweeps through it.
 func ReadJobs(r io.Reader) ([]Job, error) {
 	data, err := ReadSpecBody(r)
 	if err != nil {
@@ -117,10 +123,14 @@ func PointsHash(points []Job) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Jobs expands the spec into its job list.
+// Jobs expands the spec into its job list; a spec of more than
+// MaxSpecPoints points is an error.
 func (s Spec) Jobs() ([]Job, error) {
 	mechs, err := s.mechanisms()
 	if err != nil {
+		return nil, err
+	}
+	if err := s.checkSize(len(mechs)); err != nil {
 		return nil, err
 	}
 	if len(s.Benchmarks) > 0 {
@@ -130,6 +140,28 @@ func (s Spec) Jobs() ([]Job, error) {
 		return s.parsecJobs(mechs)
 	}
 	return s.syntheticJobs(mechs)
+}
+
+// checkSize multiplies the lengths of the lists the spec crosses, before
+// any job is built, and rejects a product above MaxSpecPoints.
+func (s Spec) checkSize(mechs int) error {
+	dims := []int{mechs, max(len(s.Patterns), 1), max(len(s.Rates), 1), max(len(s.GatedFracs), 1)}
+	if len(s.Benchmarks) > 0 {
+		benches := len(s.Benchmarks)
+		if benches == 1 && s.Benchmarks[0] == "all" {
+			benches = len(trace.Profiles())
+		}
+		dims = []int{mechs, benches}
+	}
+	n := 1
+	for _, d := range dims {
+		// n <= MaxSpecPoints before each step, so the product cannot
+		// overflow.
+		if n *= d; n > MaxSpecPoints {
+			return fmt.Errorf("sweep: spec expands to more than %d points", MaxSpecPoints)
+		}
+	}
+	return nil
 }
 
 func (s Spec) mechanisms() ([]config.Mechanism, error) {
