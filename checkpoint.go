@@ -14,8 +14,8 @@ import (
 type Driver = trace.Driver
 
 // SnapshotSchemaVersion names the checkpoint state schema this build
-// reads and writes. It participates in sweep cache keys so warm-start
-// blobs from an incompatible build are never reused.
+// reads and writes. It participates in sweep cache keys, so a schema
+// bump misses every row cached by an older build.
 const SnapshotSchemaVersion = snapshot.SchemaVersion
 
 // SaveSnapshot writes a deterministic checkpoint of a live simulation to

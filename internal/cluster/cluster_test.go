@@ -47,7 +47,7 @@ func pollSlices(n int) func() func() bool {
 	}
 }
 
-func mustPoints(t *testing.T, spec sweep.Spec) []sweep.Job {
+func mustPoints(t testing.TB, spec sweep.Spec) []sweep.Job {
 	t.Helper()
 	points, err := spec.Jobs()
 	if err != nil {
@@ -103,7 +103,7 @@ func submitJob(t *testing.T, s *Store, points []sweep.Job) JobRecord {
 }
 
 // driveToDone steps the worker until the job has a terminal marker.
-func driveToDone(t *testing.T, w *Worker, s *Store, id string) DoneRecord {
+func driveToDone(t testing.TB, w *Worker, s *Store, id string) DoneRecord {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -13,24 +12,16 @@ import (
 
 // Cache federation. Every node's content-addressed cache speaks a tiny
 // read-only HTTP protocol over the existing keys: result entries by job
-// hash, warm-start/checkpoint blobs by blob key. A node that misses
-// locally asks its peers before simulating, then writes the fetched
-// entry into its own cache, so a row or warm blob computed once is a
-// hit everywhere. Keys are content hashes, so federation needs no
-// invalidation protocol — an entry is either valid for its key or
+// hash. A node that misses locally asks its peers before simulating,
+// then writes the fetched entry into its own cache, so a row computed
+// once is a hit everywhere. Keys are content hashes, so federation needs
+// no invalidation protocol — an entry is either valid for its key or
 // rejected by the same three-layer hardening local reads get
-// (sweep.DecodeEntry); blobs are CRC-guarded by the snapshot container
-// and additionally magic-checked before adoption.
+// (sweep.DecodeEntry).
 
 // maxFederatedEntry bounds a fetched peer response; entries are a few
-// KiB, blobs tens of KiB, so 64 MiB is generous and still DoS-safe.
+// KiB, so 64 MiB is generous and still DoS-safe.
 const maxFederatedEntry = 64 << 20
-
-// snapshotMagic mirrors the snapshot container's leading magic; a
-// remote blob that does not even start with it is rejected before it
-// can pollute the local cache (the CRC check at restore time is the
-// real integrity gate; this just refuses obvious garbage cheaply).
-var snapshotMagic = []byte("FLOVSNAP")
 
 // validKey reports whether key is a plausible content hash — lowercase
 // hex, at least one byte of prefix directory. Anything else (path
@@ -50,7 +41,6 @@ func validKey(key string) bool {
 // CacheHandler serves a node's cache to its peers:
 //
 //	GET /v1/cache/entry/{hash}  raw result-cache entry bytes
-//	GET /v1/cache/blob/{key}    raw blob bytes (warm snapshots)
 //	GET /healthz                liveness
 //
 // Read-only by construction: peers validate and write into their own
@@ -70,20 +60,6 @@ func CacheHandler(c *sweep.Cache) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		// Committed response: a failed write means the peer went away.
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("GET /v1/cache/blob/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue("key")
-		if !validKey(key) {
-			http.Error(w, "bad key", http.StatusBadRequest)
-			return
-		}
-		data, ok := c.GetBlob(key)
-		if !ok {
-			http.Error(w, "miss", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -173,37 +149,10 @@ func (p *Peers) FetchResult(j sweep.Job) (sweep.Result, bool) {
 	return sweep.Result{}, false
 }
 
-// FetchBlob asks the peers for a cache blob (a warm-start snapshot).
-// Blobs are rejected unless they carry the snapshot container magic;
-// the CRC-guarded restore remains the hard integrity gate, and a blob
-// that fails it later is removed by the existing corrupt-blob healing.
-func (p *Peers) FetchBlob(key string) ([]byte, bool) {
-	if p.Len() == 0 {
-		return nil, false
-	}
-	for _, base := range p.bases {
-		data, ok := p.get(base + "/v1/cache/blob/" + key)
-		if !ok {
-			continue
-		}
-		if !bytes.HasPrefix(data, snapshotMagic) {
-			p.rejected.Add(1)
-			continue
-		}
-		p.hits.Add(1)
-		return data, true
-	}
-	p.misses.Add(1)
-	return nil, false
-}
-
-// Warm pulls from peers into e's cache what e will look up for jobs, so
-// its lookups hit locally: a job's cached result when absent and, when
-// e warm-starts, the warm blob of a synthetic point with a warmup phase
-// that no peer has a row for. Best-effort: any failure simply leaves the
-// point to simulate.
-func (p *Peers) Warm(e *sweep.Engine, jobs []sweep.Job) (adopted int) {
-	c := e.Cache
+// Warm pulls the cached result of each job that c lacks from peers into
+// c, so the engine's lookups hit locally. Best-effort: any failure
+// simply leaves the point to simulate.
+func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job) (adopted int) {
 	if p.Len() == 0 || c == nil {
 		return 0
 	}
@@ -214,17 +163,6 @@ func (p *Peers) Warm(e *sweep.Engine, jobs []sweep.Job) (adopted int) {
 		if r, ok := p.FetchResult(j); ok {
 			if err := c.Put(r); err == nil {
 				adopted++
-			}
-			continue
-		}
-		if e.WarmStart && j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
-			key := j.WarmKey()
-			if _, ok := c.GetBlob(key); !ok {
-				if blob, ok := p.FetchBlob(key); ok {
-					if err := c.PutBlob(key, blob); err == nil {
-						adopted++
-					}
-				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -20,11 +19,6 @@ func fillCache(t *testing.T, c *sweep.Cache, points []sweep.Job) {
 	engine.Run(context.Background(), points)
 }
 
-// warmEngine is a warm-starting engine over c, what Warm fills for.
-func warmEngine(c *sweep.Cache) *sweep.Engine {
-	return &sweep.Engine{Cache: c, WarmStart: true}
-}
-
 func TestFederationEntryFetch(t *testing.T) {
 	points := mustPoints(t, testSpec(0.1, 0.2))
 	remote := newCache(t)
@@ -35,7 +29,7 @@ func TestFederationEntryFetch(t *testing.T) {
 	peers := NewPeers([]string{srv.URL})
 
 	local := newCache(t)
-	if n := peers.Warm(warmEngine(local), points); n != len(points) {
+	if n := peers.Warm(local, points); n != len(points) {
 		t.Fatalf("Warm adopted %d entries, want %d", n, len(points))
 	}
 	hits, misses, rejected := peers.Counters()
@@ -54,7 +48,7 @@ func TestFederationEntryFetch(t *testing.T) {
 		}
 	}
 	// Re-warming is a no-op: everything already local.
-	if n := peers.Warm(warmEngine(local), points); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("second Warm adopted %d, want 0", n)
 	}
 }
@@ -86,77 +80,8 @@ func TestFederationRejectsCorruptEntry(t *testing.T) {
 		t.Fatalf("rejected=%d misses=%d, want 1/1", rejected, misses)
 	}
 	local := newCache(t)
-	if n := peers.Warm(warmEngine(local), points); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("Warm adopted %d corrupt entries", n)
-	}
-}
-
-func TestFederationBlobFetch(t *testing.T) {
-	remote := newCache(t)
-	key := "ab12cd34"
-	blob := append([]byte("FLOVSNAP"), []byte("checkpoint-payload")...)
-	if err := remote.PutBlob(key, blob); err != nil {
-		t.Fatal(err)
-	}
-	// A garbage blob without the container magic.
-	if err := remote.PutBlob("ff00ff00", []byte("not a snapshot")); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(CacheHandler(remote))
-	defer srv.Close()
-	peers := NewPeers([]string{srv.URL})
-
-	got, ok := peers.FetchBlob(key)
-	if !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("blob fetch: ok=%v len=%d", ok, len(got))
-	}
-	if _, ok := peers.FetchBlob("ff00ff00"); ok {
-		t.Fatal("magic-less blob accepted")
-	}
-	if _, ok := peers.FetchBlob("0123456789abcdef"); ok {
-		t.Fatal("missing blob reported as hit")
-	}
-}
-
-// TestFederationWarmBlobOnlyForMissingRows: Warm fetches a point's warm
-// blob only for an engine that warm-starts, and only when no peer has the
-// point's row — a fetched row makes the blob useless, since the engine
-// serves the row without simulating.
-func TestFederationWarmBlobOnlyForMissingRows(t *testing.T) {
-	points := mustPoints(t, testSpec(0.1, 0.2))
-	remote := newCache(t)
-	fillCache(t, remote, points[:1])
-	blob := append([]byte("FLOVSNAP"), []byte("checkpoint-payload")...)
-	for _, p := range points {
-		if err := remote.PutBlob(p.WarmKey(), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	srv := httptest.NewServer(CacheHandler(remote))
-	defer srv.Close()
-
-	cold := newCache(t)
-	if n := NewPeers([]string{srv.URL}).Warm(&sweep.Engine{Cache: cold}, points); n != 1 {
-		t.Fatalf("cold engine: Warm adopted %d, want only the row of point 0", n)
-	}
-	if _, ok := cold.GetBlob(points[1].WarmKey()); ok {
-		t.Fatal("cold engine: warm blob fetched although nothing restores it")
-	}
-
-	local := newCache(t)
-	if n := NewPeers([]string{srv.URL}).Warm(warmEngine(local), points); n != 2 {
-		t.Fatalf("Warm adopted %d, want the row of point 0 and the blob of point 1", n)
-	}
-	if _, ok := local.Get(points[0]); !ok {
-		t.Fatal("point 0: row not adopted")
-	}
-	if _, ok := local.GetBlob(points[0].WarmKey()); ok {
-		t.Fatal("point 0: blob fetched although its row was")
-	}
-	if got, ok := local.GetBlob(points[1].WarmKey()); !ok || !bytes.Equal(got, blob) {
-		t.Fatal("point 1: warm blob not adopted")
 	}
 }
 
@@ -196,7 +121,7 @@ func TestFederationDeadPeer(t *testing.T) {
 	if _, ok := peers.FetchResult(points[0]); ok {
 		t.Fatal("dead peer produced a hit")
 	}
-	if n := peers.Warm(warmEngine(newCache(t)), points); n != 0 {
+	if n := peers.Warm(newCache(t), points); n != 0 {
 		t.Fatalf("Warm over dead peer adopted %d", n)
 	}
 }

@@ -228,8 +228,11 @@ func (f *FrontDoor) admit(w http.ResponseWriter, r *http.Request) (rec JobRecord
 		return rec, false, false
 	}
 
+	// One hash of the point list names the job and dedups it.
+	h := sweep.PointsHash(points)
 	rec = JobRecord{
-		ID:          JobID(points),
+		ID:          idOf(h),
+		SpecHash:    h,
 		Tenant:      ten,
 		Points:      points,
 		SubmittedMS: now.UnixMilli(),

@@ -108,6 +108,28 @@ func TestFrontDoorSubmitAndDedup(t *testing.T) {
 	}
 }
 
+// TestFrontDoorRecordIdentity: the front door names and dedups an
+// admitted job from one hash of its point list, so the stored record's
+// SpecHash is PointsHash of the points and its ID is their JobID.
+func TestFrontDoorRecordIdentity(t *testing.T) {
+	store := openStore(t)
+	srv := newFrontDoor(t, store, FrontDoorConfig{})
+	spec := testSpec(0.1, 0.2)
+	points := mustPoints(t, spec)
+
+	st := decodeStatus(t, postSpec(t, srv.URL+"/v1/sweeps", spec, ""))
+	rec, err := store.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SpecHash != sweep.PointsHash(points) {
+		t.Errorf("SpecHash = %q, want PointsHash %q", rec.SpecHash, sweep.PointsHash(points))
+	}
+	if rec.ID != JobID(points) || st.ID != rec.ID {
+		t.Errorf("ID = %q (status %q), want JobID %q", rec.ID, st.ID, JobID(points))
+	}
+}
+
 // TestFrontDoorOversizedSpecRejected: a spec that expands past
 // sweep.MaxSpecPoints answers 400 on both submit routes and stores no
 // job.

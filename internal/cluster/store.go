@@ -85,9 +85,10 @@ func (s *Store) Dir() string { return s.dir }
 // JobID derives the job id from a point list. Content-addressed: the
 // same spec is the same job cluster-wide, which makes submission
 // idempotent and dedups identical concurrent submissions for free.
-func JobID(points []sweep.Job) string {
-	return "j" + sweep.PointsHash(points)[:16]
-}
+func JobID(points []sweep.Job) string { return idOf(sweep.PointsHash(points)) }
+
+// idOf is the job id of a point list whose PointsHash is h.
+func idOf(h string) string { return "j" + h[:16] }
 
 func (s *Store) jobPath(id string) string     { return filepath.Join(s.dir, "jobs", id+".json") }
 func (s *Store) donePath(id string) string    { return filepath.Join(s.dir, "jobs", id+".done.json") }
@@ -183,11 +184,11 @@ func (s *Store) appendLine(path string, line []byte) error {
 // created=false, so concurrent identical submissions coincide instead
 // of racing.
 func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
-	if rec.ID == "" {
-		rec.ID = JobID(rec.Points)
-	}
 	if rec.SpecHash == "" {
 		rec.SpecHash = sweep.PointsHash(rec.Points)
+	}
+	if rec.ID == "" {
+		rec.ID = idOf(rec.SpecHash)
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"io/fs"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +41,47 @@ func TestWorkerPreemptAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, ref) {
 		t.Error("sliced execution produced different bytes than single-node run")
+	}
+}
+
+// TestWorkerCacheHoldsOnlyRows: a worker without job slicing finishes a
+// job whose points have a warmup phase, and its cache directory then
+// holds one row entry per point and no post-warmup snapshot sidecar
+// (*.snap): a point starts from its own checkpoint or from cycle 0, and
+// the cache stores rows only.
+func TestWorkerCacheHoldsOnlyRows(t *testing.T) {
+	points := mustPoints(t, testSpec(0.1, 0.2))
+	if points[0].Config.WarmupCycles == 0 {
+		t.Fatal("test points need a warmup phase")
+	}
+	store := openStore(t)
+	rec := submitJob(t, store, points)
+	cache := newCache(t)
+	w := &Worker{Store: store, Cache: cache, Name: "unsliced",
+		LeaseTTL: time.Minute, Workers: 2}
+	done := driveToDone(t, w, store, rec.ID)
+	if done.State != service.StateDone || done.Errors != 0 {
+		t.Fatalf("done = %+v", done)
+	}
+
+	var rows, snaps int
+	err := filepath.WalkDir(cache.Dir(), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		switch filepath.Ext(path) {
+		case ".json":
+			rows++
+		case ".snap":
+			snaps++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != len(points) || snaps != 0 {
+		t.Fatalf("cache holds %d row entries and %d .snap files, want %d and 0", rows, snaps, len(points))
 	}
 }
 

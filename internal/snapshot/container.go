@@ -10,8 +10,8 @@ import (
 
 // SchemaVersion names the state schema carried by a snapshot. It must be
 // bumped whenever any serialized state struct changes shape, so stale
-// snapshots (and warm-start cache entries keyed on it) are rejected
-// instead of silently misread.
+// snapshots are rejected instead of silently misread (sweep job hashes
+// fold it in too, so cached rows miss after a bump).
 const SchemaVersion = "flov-snap-v2"
 
 // magic identifies a FLOV snapshot container.

@@ -419,15 +419,9 @@ func (st *State) apply(n *network.Network, d *trace.Driver) error {
 }
 
 // validateMeta rejects a snapshot taken from a differently built
-// simulation. warm relaxes the run-length fields so a warmup snapshot
-// can seed runs with different measurement windows.
-func (st *State) validateMeta(n *network.Network, d *trace.Driver, warm bool) error {
-	a, b := st.Meta.Cfg, n.Cfg
-	if warm {
-		a.TotalCycles, b.TotalCycles = 0, 0
-		a.DrainCycles, b.DrainCycles = 0, 0
-	}
-	if a != b {
+// simulation.
+func (st *State) validateMeta(n *network.Network, d *trace.Driver) error {
+	if st.Meta.Cfg != n.Cfg {
 		return fmt.Errorf("snapshot: configuration mismatch: snapshot taken from %+v, restoring onto %+v", st.Meta.Cfg, n.Cfg)
 	}
 	if st.Meta.Mechanism != n.Mech.Name() {
@@ -453,28 +447,8 @@ func Restore(r io.Reader, n *network.Network, d *trace.Driver) error {
 	if err != nil {
 		return err
 	}
-	if err := st.validateMeta(n, d, false); err != nil {
+	if err := st.validateMeta(n, d); err != nil {
 		return err
 	}
 	return st.apply(n, d)
-}
-
-// RestoreWarm applies a post-warmup snapshot onto a network whose config
-// may differ in TotalCycles/DrainCycles only: the warm-start path for
-// sweep forking, where many measurement windows share one warmed-up
-// prefix. Generation stop is re-derived from the receiver's config
-// (the donor's was keyed to its own run length).
-func RestoreWarm(r io.Reader, n *network.Network) error {
-	st, err := Load(r)
-	if err != nil {
-		return err
-	}
-	if err := st.validateMeta(n, nil, true); err != nil {
-		return err
-	}
-	if err := st.apply(n, nil); err != nil {
-		return err
-	}
-	n.StopGeneration(n.Cfg.TotalCycles)
-	return nil
 }

@@ -168,35 +168,6 @@ func TestRoundTripPARSEC(t *testing.T) {
 	}
 }
 
-// TestRestoreWarmDifferentWindow pins warm-start soundness: a snapshot
-// taken at the warmup boundary of one run seeds a run with a different
-// measurement window, and the result is byte-identical to running that
-// window cold.
-func TestRestoreWarmDifferentWindow(t *testing.T) {
-	donorCfg := testConfig()
-	donor := buildSynthetic(t, donorCfg, config.GFLOV)
-	donor.RunTo(donorCfg.WarmupCycles)
-	var buf bytes.Buffer
-	if err := Save(&buf, donor, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	target := testConfig()
-	target.TotalCycles = 3100 // different window than the donor's 2500
-
-	warm := buildSynthetic(t, target, config.GFLOV)
-	if err := RestoreWarm(bytes.NewReader(buf.Bytes()), warm); err != nil {
-		t.Fatal(err)
-	}
-	cold := buildSynthetic(t, target, config.GFLOV)
-
-	rw := resultsJSON(t, warm.Run())
-	rc := resultsJSON(t, cold.Run())
-	if !bytes.Equal(rw, rc) {
-		t.Fatalf("warm-started run differs from cold run\nwarm: %s\ncold: %s", rw, rc)
-	}
-}
-
 // TestRestoreRejectsMismatchedTarget ensures a snapshot never lands on a
 // network built differently.
 func TestRestoreRejectsMismatchedTarget(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 // by Job.Hash (which folds in the schema and module versions), so a
 // changed config, seed, or simulator version misses cleanly instead of
 // serving stale rows. Layout: <dir>/<hh>/<hash>.json where hh is the
-// first hash byte, to keep directories small.
+// first hash byte, to keep directories small. Older builds also wrote
+// post-warmup snapshots there as .snap sidecars; nothing reads them, Len
+// does not count them and Clear removes them with the rest.
 //
 // Each handle also keeps the last memRows rows it read and verified
 // from disk in memory, so a hash it has served once is served again
@@ -207,58 +209,6 @@ func (c *Cache) Put(r Result) error {
 	}
 	c.writes.Add(1)
 	return nil
-}
-
-// blobPath returns the sidecar blob file for a key (warm-start
-// checkpoints). Blobs share the entry layout but use a .snap suffix so
-// Len and row tooling never confuse them with result entries.
-func (c *Cache) blobPath(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".snap")
-}
-
-// GetBlob reads an opaque blob stored under key. Integrity is the
-// reader's concern (snapshot containers are CRC-checked on restore); a
-// missing or unreadable blob is simply a miss.
-func (c *Cache) GetBlob(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.blobPath(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// PutBlob stores an opaque blob under key with the same temp-plus-rename
-// discipline as Put, so concurrent writers and crashes never leave a
-// torn blob behind.
-func (c *Cache) PutBlob(key string, data []byte) error {
-	dir := filepath.Dir(c.blobPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.blobPath(key)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// RemoveBlob deletes a blob that failed to restore, so the slot heals on
-// the next warm run instead of failing forever.
-func (c *Cache) RemoveBlob(key string) {
-	_ = os.Remove(c.blobPath(key))
 }
 
 // Clear removes every cached entry (the whole directory tree) and

@@ -24,17 +24,8 @@ type Engine struct {
 	// RunJob, when non-nil, substitutes the job runner (tests use it
 	// for panic injection and timing control; the serving layer's tests
 	// use it to block points on demand). Nil means the point runner
-	// behind Job.Run, with the engine's WarmStart, Pause and Snapshots.
+	// behind Job.Run, with the engine's Pause and Snapshots.
 	RunJob func(Job) Result
-
-	// WarmStart, when set (and Cache is non-nil), forks synthetic points
-	// with a warmup phase from the cache: points sharing a WarmKey
-	// (topology, workload, warmup) restore one cached post-warmup
-	// snapshot instead of each re-simulating the warmup, and the first
-	// to cross the warmup boundary publishes it. Results are
-	// byte-for-byte identical to cold runs, and it composes with Pause
-	// and Snapshots.
-	WarmStart bool
 
 	// Pause, when non-nil, makes execution preemptible: workers poll it
 	// between simulation quanta and, when it reports true, checkpoint the
@@ -166,11 +157,7 @@ func (e *Engine) guardedRun(j Job, snap []byte) (r Result) {
 	if e.RunJob != nil {
 		return e.RunJob(j)
 	}
-	var warm *Cache
-	if e.WarmStart {
-		warm = e.Cache
-	}
-	r = j.run(snap, warm, e.Pause)
+	r = j.run(snap, e.Pause)
 	r.Wall = time.Since(start)
 	return r
 }

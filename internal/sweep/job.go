@@ -192,9 +192,8 @@ func (j *Job) UnmarshalJSON(data []byte) error {
 const SchemaVersion = "flov-sweep-v1"
 
 // snapSchemaVersion folds the checkpoint state schema into job hashes:
-// warm-start blobs and cached rows derived from them are only sound for
-// the snapshot layout this build writes, so a schema bump must miss
-// every old cache entry. A variable (not the constant) so tests can
+// a schema bump comes with a change to the simulator's state, so it must
+// miss every old cache entry. A variable (not the constant) so tests can
 // simulate a bump.
 var snapSchemaVersion = snapshot.SchemaVersion
 
@@ -209,11 +208,11 @@ var moduleVersion = func() string {
 	return "unknown"
 }()
 
-// canonical is the job's canonical encoding, the preimage of Hash and
-// WarmKey: the same bytes as json.Marshal(j), without the second pass
-// encoding/json makes over a Marshaler's output to validate and compact
-// it (field order is fixed by the wire struct and floats render
-// shortest-form, so the encoding is deterministic).
+// canonical is the job's canonical encoding, the preimage of Hash: the
+// same bytes as json.Marshal(j), without the second pass encoding/json
+// makes over a Marshaler's output to validate and compact it (field
+// order is fixed by the wire struct and floats render shortest-form, so
+// the encoding is deterministic).
 func (j Job) canonical() []byte {
 	enc, err := json.Marshal(j.wire())
 	if err != nil {
@@ -225,20 +224,16 @@ func (j Job) canonical() []byte {
 	return enc
 }
 
-// digest is the hex SHA-256 of tag, the schema, snapshot schema and
-// module versions, and the job's canonical encoding.
-func (j Job) digest(tag string) string {
+// Hash returns the canonical content hash of the job: the hex SHA-256
+// over the schema version, snapshot schema version, module version and
+// the canonical encoding.
+func (j Job) Hash() string {
 	h := sha256.New()
 	// hash.Hash.Write is documented to never return an error.
-	_, _ = io.WriteString(h, tag+SchemaVersion+"|"+snapSchemaVersion+"|"+moduleVersion+"|")
+	_, _ = io.WriteString(h, SchemaVersion+"|"+snapSchemaVersion+"|"+moduleVersion+"|")
 	_, _ = h.Write(j.canonical())
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// Hash returns the canonical content hash of the job: SHA-256 over the
-// schema version, snapshot schema version, module version and the
-// canonical encoding.
-func (j Job) Hash() string { return j.digest("") }
 
 // Desc is a short human-readable point description for progress lines.
 func (j Job) Desc() string {
@@ -308,7 +303,7 @@ func NewMechanism(m config.Mechanism) (network.Mechanism, error) {
 // simulator itself may — the Engine isolates that.
 func (j Job) Run() Result {
 	start := time.Now()
-	r := j.run(nil, nil, nil)
+	r := j.run(nil, nil)
 	r.Wall = time.Since(start)
 	return r
 }

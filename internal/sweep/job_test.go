@@ -118,7 +118,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 // TestJobCanonicalIsMarshal: the hash preimage is exactly the bytes
 // json.Marshal renders for the job, for every field shape a job can
 // carry, so hashing without the Marshaler pass orphans no cache entry
-// or warm blob written by a build that hashed json.Marshal(j).
+// written by a build that hashed json.Marshal(j).
 func TestJobCanonicalIsMarshal(t *testing.T) {
 	prefix := SchemaVersion + "|" + snapSchemaVersion + "|" + moduleVersion + "|"
 	rich := quickJob(config.GFLOV, 0.05, 0.25)
@@ -151,17 +151,6 @@ func TestJobCanonicalIsMarshal(t *testing.T) {
 		if sum := sha256.Sum256(append([]byte(prefix), want...)); j.Hash() != hex.EncodeToString(sum[:]) {
 			t.Errorf("%s: Hash is not SHA-256 of the versions and json.Marshal(j)", name)
 		}
-	}
-
-	// WarmKey hashes the job with its measurement window zeroed.
-	w := rich
-	w.Config.TotalCycles, w.Config.DrainCycles = 0, 0
-	want, err := json.Marshal(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := sha256.Sum256(append([]byte("warm|"+prefix), want...)); rich.WarmKey() != hex.EncodeToString(sum[:]) {
-		t.Error("WarmKey is not SHA-256 of the versions and json.Marshal of the windowless job")
 	}
 }
 

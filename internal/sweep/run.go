@@ -29,18 +29,6 @@ func IncompleteError(benchmark string, mech config.Mechanism, bound int64) error
 	return fmt.Errorf("sweep: benchmark %s/%v did not complete within %d cycles", benchmark, mech, bound)
 }
 
-// WarmKey is the cache key for the job's post-warmup snapshot. Jobs that
-// differ only in measurement window (TotalCycles, DrainCycles) simulate
-// an identical warmup phase, so the key is the hash of the job with
-// those fields zeroed — they all share one warm blob. The snapshot
-// schema and module versions are folded in for the same reason they are
-// in Hash: a blob written by an incompatible build must miss.
-func (j Job) WarmKey() string {
-	j.Config.TotalCycles = 0
-	j.Config.DrainCycles = 0
-	return j.digest("warm|")
-}
-
 // Build assembles (but does not run) the job's simulation: the network
 // and, for a PARSEC job, the closed-loop driver over it (nil for a
 // synthetic job). Every run path, the facade's PARSEC entry points and
@@ -88,19 +76,16 @@ func (j Job) Build() (*network.Network, *trace.Driver, error) {
 
 // run is the one point runner behind Job.Run and the Engine. It builds
 // the job and picks its starting state: the mid-run checkpoint snap of
-// this very job when non-nil (strict restore), else the job's warm blob
-// from warm when a synthetic job with a warmup phase is given a cache,
-// else cycle 0. A run that crosses the warmup boundary with a cache
-// publishes the post-warmup state there, so later points sharing the
-// WarmKey fork from it instead of re-simulating the warmup.
+// this very job when non-nil (strict restore), else cycle 0.
 //
 // The run advances in resumeQuantum slices, polling pause between them
 // (nil never preempts); when it reports true the live state is
 // checkpointed and returned in a Paused result, and re-running the job
 // with that snapshot continues exactly where it left off. Otherwise a
 // synthetic run drains and collects its results, a PARSEC run its
-// outcome. Every path produces rows byte-identical to a cold run.
-func (j Job) run(snap []byte, warm *Cache, pause func() bool) Result {
+// outcome. Every path produces rows byte-identical to an uninterrupted
+// run.
+func (j Job) run(snap []byte, pause func() bool) Result {
 	r := Result{Job: j}
 	n, d, err := j.Build()
 	if err != nil {
@@ -113,53 +98,20 @@ func (j Job) run(snap []byte, warm *Cache, pause func() bool) Result {
 			end = DefaultMaxCycles
 		}
 	}
-	var warmKey string
-	if warm != nil && j.Kind == Synthetic && j.Config.WarmupCycles > 0 {
-		warmKey = j.WarmKey()
-	}
-
-	switch {
-	case snap != nil:
+	if snap != nil {
 		if err := snapshot.Restore(bytes.NewReader(snap), n, d); err != nil {
 			r.Err = fmt.Sprintf("sweep: resuming from checkpoint: %v", err)
 			return r
 		}
-	case warmKey != "":
-		if blob, ok := warm.GetBlob(warmKey); ok {
-			if err := snapshot.RestoreWarm(bytes.NewReader(blob), n); err != nil {
-				// Corrupt or incompatible blob: heal the slot and start
-				// cold on a fresh network (a failed restore may have
-				// partially applied state); the cold run republishes.
-				warm.RemoveBlob(warmKey)
-				if n, _, err = j.Build(); err != nil {
-					r.Err = err.Error()
-					return r
-				}
-			}
-		}
 	}
-	// Publish only from before the boundary: a run restored from the
-	// blob, or resumed past the boundary, has nothing to add.
-	boundary := j.Config.WarmupCycles
-	publish := warmKey != "" && n.Now() < boundary
 
 	finished := func() bool { return n.Now() >= end || (d != nil && d.Finished()) }
 	for !finished() {
 		next := min(n.Now()+resumeQuantum, end)
-		if publish && next > boundary {
-			next = boundary
-		}
 		if d != nil {
 			d.RunUntil(next)
 		} else {
 			n.RunTo(next)
-		}
-		if publish && n.Now() == boundary {
-			// Blob publication is best-effort, like result-cache fills.
-			if blob, err := save(n, nil); err == nil {
-				_ = warm.PutBlob(warmKey, blob)
-			}
-			publish = false
 		}
 		if finished() {
 			break
