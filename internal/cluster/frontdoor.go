@@ -259,13 +259,6 @@ func (f *FrontDoor) admit(w http.ResponseWriter, r *http.Request) (rec JobRecord
 	}
 	f.submits.Add(1)
 	if created {
-		line, err := json.Marshal(service.StreamEvent{Type: service.EventAccepted, ID: rec.ID,
-			Total: len(rec.Points), State: service.StateQueued})
-		if err == nil {
-			if aerr := f.store.AppendEvent(rec.ID, line); aerr != nil {
-				f.logf("event append failed for %s: %v", rec.ID, aerr)
-			}
-		}
 		f.logf("accepted %s from %s (%d points)", rec.ID, ten, len(rec.Points))
 	} else {
 		f.deduped.Add(1)
@@ -358,18 +351,16 @@ func (f *FrontDoor) stream(w http.ResponseWriter, r *http.Request, rec JobRecord
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	write := func(line []byte) bool {
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return false // client gone
-		}
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
-	if flusher != nil {
-		flusher.Flush()
+	write := func(line []byte) bool {
+		_, err := w.Write(append(line, '\n'))
+		return err == nil // false: client gone
 	}
+	flush()
 	for {
 		// The marker is read before the feed: workers append every line
 		// before MarkDone, so a feed read after a seen marker is whole.
@@ -389,9 +380,12 @@ func (f *FrontDoor) stream(w http.ResponseWriter, r *http.Request, rec JobRecord
 		}
 		if finished {
 			if line, err := json.Marshal(summaryEvent(rec, done)); err == nil {
-				write(line)
+				write(line) // the handler's return flushes it
 			}
 			return
+		}
+		if len(lines) > 0 {
+			flush() // once per read of the feed, after the batch it returned
 		}
 		select {
 		case <-r.Context().Done():

@@ -76,3 +76,51 @@ func FuzzStoreRows(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadLease hardens the lease file reader. Arbitrary bytes are
+// written as one epoch's lease file and read back through readLease,
+// which must never panic and must return either the lease the file
+// holds, when that names this job and epoch, or the expired fallback.
+// Seeded from a live lease, leases naming another job or epoch, a
+// truncated lease and JSON that is not a lease.
+//
+//	go test -run '^$' -fuzz '^FuzzReadLease$' -fuzztime 30s ./internal/cluster/
+func FuzzReadLease(f *testing.F) {
+	store, err := Open(filepath.Join(f.TempDir(), "store"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	const id, epoch = "j0123456789abcdef", 3
+	lease := func(w leaseWire) []byte {
+		data, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	live := lease(leaseWire{Job: id, Epoch: epoch, Worker: "alpha", ExpiresMS: 1 << 42})
+	f.Add(live)
+	f.Add(lease(leaseWire{Job: "jfedcba9876543210", Epoch: epoch, Worker: "alpha", ExpiresMS: 1 << 42}))
+	f.Add(lease(leaseWire{Job: id, Epoch: epoch + 1, Worker: "alpha", ExpiresMS: 1 << 42}))
+	f.Add(live[:len(live)/2])
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[1,2]`))
+
+	expired := leaseWire{Job: id, Epoch: epoch}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(store.leasePath(id, epoch), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := store.readLease(id, epoch)
+		if !ok {
+			t.Fatal("an existing lease file read as absent")
+		}
+		if got == expired {
+			return
+		}
+		var own leaseWire
+		if json.Unmarshal(data, &own) != nil || own != got || own.Job != id || own.Epoch != epoch {
+			t.Fatalf("readLease = %+v, want this job's own lease or the expired fallback", got)
+		}
+	})
+}

@@ -88,15 +88,16 @@ func (s *Store) leaseEpochs(id string) ([]int, error) {
 }
 
 // readLease parses one epoch file. Lease files are only ever published
-// whole (link or rename), so a parse failure is corruption; it reads as
-// an expired lease so the job stays claimable rather than wedged.
+// whole (link or rename), so a file that does not parse, or that names
+// another job or epoch than its path, is corruption; it reads as an
+// expired lease so the job stays claimable rather than wedged.
 func (s *Store) readLease(id string, epoch int) (leaseWire, bool) {
 	data, err := os.ReadFile(s.leasePath(id, epoch))
 	if err != nil {
 		return leaseWire{}, false
 	}
 	var w leaseWire
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := json.Unmarshal(data, &w); err != nil || w.Job != id || w.Epoch != epoch {
 		return leaseWire{Job: id, Epoch: epoch}, true // expired (zero ExpiresMS)
 	}
 	return w, true

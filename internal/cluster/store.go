@@ -183,6 +183,12 @@ func (s *Store) appendLine(path string, line []byte) error {
 // content-addressed id: a record already present is returned as-is with
 // created=false, so concurrent identical submissions coincide instead
 // of racing.
+//
+// The job's feed is published first, holding only its "accepted" line:
+// a worker can claim the job only once the record exists, so every line
+// it appends lands after that one and a streaming client always reads
+// "accepted" first. The line depends on the id alone, so a submitter
+// that loses either publish race leaves the feed as the winner wrote it.
 func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
 	if rec.SpecHash == "" {
 		rec.SpecHash = sweep.PointsHash(rec.Points)
@@ -193,6 +199,14 @@ func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return JobRecord{}, false, fmt.Errorf("cluster: encode job: %w", err)
+	}
+	accepted, err := json.Marshal(service.StreamEvent{Type: service.EventAccepted, ID: rec.ID,
+		Total: len(rec.Points), State: service.StateQueued})
+	if err != nil {
+		return JobRecord{}, false, fmt.Errorf("cluster: encode accepted event: %w", err)
+	}
+	if _, err := publish(s.eventsPath(rec.ID), append(accepted, '\n')); err != nil {
+		return JobRecord{}, false, fmt.Errorf("cluster: publish job feed: %w", err)
 	}
 	won, err := publish(s.jobPath(rec.ID), data)
 	if err != nil {

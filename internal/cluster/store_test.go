@@ -167,9 +167,12 @@ func TestEventsWithholdTornTail(t *testing.T) {
 	s := openStore(t)
 	rec := submitJob(t, s, mustPoints(t, testSpec(0.1)))
 
-	if err := s.AppendEvent(rec.ID, []byte(`{"type":"accepted"}`)); err != nil {
-		t.Fatal(err)
+	// Submit wrote the feed's first line, the job's accepted event.
+	head, err := s.Events(rec.ID, 0)
+	if err != nil || len(head) != 1 {
+		t.Fatalf("feed after Submit = %q, err %v; want the accepted line", head, err)
 	}
+	accepted := string(head[0])
 	if err := s.AppendEvent(rec.ID, []byte(`{"type":"claimed"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestEventsWithholdTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{`{"type":"accepted"}`, `{"type":"claimed"}`, `{"type":"poi`, `{"type":"point"}`}
+	want := []string{accepted, `{"type":"claimed"}`, `{"type":"poi`, `{"type":"point"}`}
 	if len(lines) != len(want) {
 		t.Fatalf("Events after append = %q, want %q", lines, want)
 	}
@@ -341,5 +344,59 @@ func TestMarshalResultsShape(t *testing.T) {
 	var back []json.RawMessage
 	if err := json.Unmarshal(data, &back); err != nil || len(back) != 1 {
 		t.Fatalf("round-trip: %d rows, err %v", len(back), err)
+	}
+}
+
+// TestSubmitWritesAcceptedFirst: the first feed line of a created job is
+// its accepted event, even when a worker claims the job the instant its
+// record appears and appends at once, and when two submitters race.
+func TestSubmitWritesAcceptedFirst(t *testing.T) {
+	s := openStore(t)
+	for i := 0; i < 10; i++ {
+		points := mustPoints(t, testSpec(0.01*float64(i+1)))
+		id := JobID(points)
+		claimed := make(chan error, 1)
+		go func() {
+			deadline := time.Now().Add(30 * time.Second)
+			for time.Now().Before(deadline) {
+				if _, err := s.Claim(id, "racer", time.Minute); err == nil {
+					claimed <- s.AppendEvent(id, []byte(`{"type":"claimed"}`))
+					return
+				}
+			}
+			claimed <- errors.New("never claimed the job")
+		}()
+		var wg sync.WaitGroup
+		var created [2]bool
+		for k := range created {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, c, err := s.Submit(JobRecord{Points: points})
+				if err != nil {
+					t.Error(err)
+				}
+				created[k] = c
+			}()
+		}
+		wg.Wait()
+		if err := <-claimed; err != nil {
+			t.Fatal(err)
+		}
+		if created[0] == created[1] {
+			t.Fatalf("job %d: created = %v, want exactly one submitter to create it", i, created)
+		}
+		lines, err := s.Events(id, 0)
+		if err != nil || len(lines) != 2 {
+			t.Fatalf("job %d: feed %q (err %v), want accepted then claimed", i, lines, err)
+		}
+		var ev service.StreamEvent
+		if err := json.Unmarshal(lines[0], &ev); err != nil || ev.Type != service.EventAccepted ||
+			ev.ID != id || ev.Total != len(points) || ev.State != service.StateQueued {
+			t.Fatalf("job %d: first line %s, want its accepted event", i, lines[0])
+		}
+		if string(lines[1]) != `{"type":"claimed"}` {
+			t.Fatalf("job %d: second line %s, want the racer's", i, lines[1])
+		}
 	}
 }

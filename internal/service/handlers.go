@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,8 +187,12 @@ func StreamFrom(r *http.Request) (int, error) {
 	return n, nil
 }
 
-// streamFeed writes the feed from line from onward as NDJSON, flushing
-// per event so progress is visible while points are still simulating.
+// streamFeed writes the feed from line from onward as NDJSON. Lines
+// collect in a 32 KiB buffer that is flushed to the client whenever the
+// stream has caught up with the feed (or the buffer fills): a burst of
+// ready lines, such as a warm job's cache hits, goes out in a few large
+// writes, and a line that precedes a wait on a simulating point is on
+// the wire before the wait.
 func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job, from int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -195,7 +200,8 @@ func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job, from
 	if flusher != nil {
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
+	bw := bufio.NewWriterSize(w, 32<<10)
+	enc := json.NewEncoder(bw)
 	for i := from; ; i++ {
 		ev, ok, err := j.feed.next(r.Context(), i)
 		if err != nil || !ok {
@@ -204,8 +210,13 @@ func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, j *job, from
 		if err := enc.Encode(ev); err != nil {
 			return // connection lost mid-stream
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if j.feed.len() <= i+1 {
+			if bw.Flush() != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
 }

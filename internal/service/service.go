@@ -86,6 +86,7 @@ type job struct {
 	id       string
 	specHash string
 	points   []sweep.Job
+	hashes   []string // each point's cache key, index-aligned with points
 	feed     *feed
 
 	ctx    context.Context
@@ -211,7 +212,7 @@ func (s *Server) log(format string, args ...any) {
 // Identical in-flight jobs are shared (deduped=true) instead of
 // enqueued twice.
 func (s *Server) submit(points []sweep.Job, owned bool) (j *job, deduped bool, err error) {
-	h := sweep.PointsHash(points)
+	h, hashes := sweep.HashPoints(points)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -243,6 +244,7 @@ func (s *Server) submit(points []sweep.Job, owned bool) (j *job, deduped bool, e
 		id:        fmt.Sprintf("%s-%d", h[:12], s.seq),
 		specHash:  h,
 		points:    points,
+		hashes:    hashes,
 		feed:      newFeed(),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -348,9 +350,11 @@ func (s *Server) execute(j *job) {
 		}
 	}
 	pts := make([]sweep.Job, len(idx))
+	hashes := make([]string, len(idx))
 	snaps := make([][]byte, len(idx))
 	for k, i := range idx {
 		pts[k] = j.points[i]
+		hashes[k] = j.hashes[i]
 		snaps[k] = j.snapshots[i]
 	}
 	j.mu.Unlock()
@@ -375,6 +379,7 @@ func (s *Server) execute(j *job) {
 		Cache:    s.cfg.Cache,
 		Progress: remapFan{fan: progressFan{s: s, j: j}, idx: idx, total: len(j.points)},
 		RunJob:   s.cfg.runPoint,
+		Hashes:   hashes,
 	}
 	if s.cfg.JobSlice > 0 {
 		expired, stop := s.startSlice()

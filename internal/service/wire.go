@@ -15,9 +15,11 @@ const (
 )
 
 // Stream event types, in the order a stream emits them: one "accepted",
-// then interleaved "start"/"point" events as workers progress — possibly
+// then one "point" line per point as workers progress — a point that
+// simulates is preceded by its "start" line, a cache hit is its "point"
+// line alone; lines of points on different workers interleave — possibly
 // punctuated by "preempted"/"resumed" pairs when the daemon time-slices
-// jobs — then a single terminal "summary". A cluster front door's feed
+// jobs, then a single terminal "summary". A cluster front door's feed
 // replaces "start" and "resumed" with a "claimed" line per lease epoch,
 // or "stolen" when the epoch was adopted from a different, lapsed
 // worker; a raced steal may repeat a point line with an identical row.

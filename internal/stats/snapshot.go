@@ -44,7 +44,7 @@ func (c *Collector) CaptureState() CollectorState {
 		CreatedPkts: c.createdPkts, LostPkts: c.lostPkts, DroppedFlits: c.droppedFlits,
 	}
 	for _, b := range c.bins {
-		s.Bins = append(s.Bins, TimeBinState{Start: b.Start, Count: b.Count, SumLat: b.sumLat})
+		s.Bins = append(s.Bins, TimeBinState{Start: b.Start, Count: b.Count, SumLat: b.SumLat})
 	}
 	return s
 }
@@ -69,6 +69,6 @@ func (c *Collector) RestoreState(s CollectorState) {
 	c.droppedFlits = s.DroppedFlits
 	c.bins = c.bins[:0]
 	for _, b := range s.Bins {
-		c.bins = append(c.bins, TimeBin{Start: b.Start, Count: b.Count, sumLat: b.SumLat})
+		c.bins = append(c.bins, TimeBin{Start: b.Start, Count: b.Count, SumLat: b.SumLat})
 	}
 }

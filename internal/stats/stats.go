@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 
 	"flov/internal/noc"
@@ -25,36 +24,14 @@ func (b Breakdown) Total() float64 {
 	return b.Router + b.Link + b.Serialization + b.FLOV + b.Contention
 }
 
-// TimeBin is one bin of the latency timeline (Fig. 10).
+// TimeBin is one bin of the latency timeline (Fig. 10). Its JSON form
+// carries the accumulator too, so a serialized bin (e.g. in the sweep
+// result cache) deserializes to an identical value.
 type TimeBin struct {
-	Start  int64   // first cycle of the bin
-	Count  int64   // packets ejected in the bin
-	AvgLat float64 // average total latency of those packets //flovsnap:skip derived from sumLat/Count when Timeline renders
-	sumLat int64
-}
-
-// timeBinJSON carries the accumulator too, so a serialized bin (e.g. in
-// the sweep result cache) deserializes to an identical value.
-type timeBinJSON struct {
-	Start  int64   `json:"start"`
-	Count  int64   `json:"count"`
-	AvgLat float64 `json:"avg_lat"`
-	SumLat int64   `json:"sum_lat,omitempty"`
-}
-
-// MarshalJSON implements a lossless encoding of the bin.
-func (b TimeBin) MarshalJSON() ([]byte, error) {
-	return json.Marshal(timeBinJSON{Start: b.Start, Count: b.Count, AvgLat: b.AvgLat, SumLat: b.sumLat})
-}
-
-// UnmarshalJSON restores a bin, including the internal accumulator.
-func (b *TimeBin) UnmarshalJSON(data []byte) error {
-	var w timeBinJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*b = TimeBin{Start: w.Start, Count: w.Count, AvgLat: w.AvgLat, sumLat: w.SumLat}
-	return nil
+	Start  int64   `json:"start"`             // first cycle of the bin
+	Count  int64   `json:"count"`             // packets ejected in the bin
+	AvgLat float64 `json:"avg_lat"`           // average total latency of those packets //flovsnap:skip derived from SumLat/Count when Timeline renders
+	SumLat int64   `json:"sum_lat,omitempty"` // summed total latency of those packets
 }
 
 // Collector accumulates per-packet statistics. Packets created before
@@ -154,7 +131,7 @@ func (c *Collector) Record(p *noc.Packet) {
 		}
 		b := &c.bins[idx]
 		b.Count++
-		b.sumLat += lat
+		b.SumLat += lat
 	}
 	if p.CreatedAt < c.MeasureStart {
 		return
@@ -233,7 +210,7 @@ func (c *Collector) Timeline() []TimeBin {
 	for i, b := range c.bins {
 		out[i] = b
 		if b.Count > 0 {
-			out[i].AvgLat = float64(b.sumLat) / float64(b.Count)
+			out[i].AvgLat = float64(b.SumLat) / float64(b.Count)
 		}
 	}
 	return out

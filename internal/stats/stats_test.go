@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -165,5 +166,34 @@ func TestPercentileEmpty(t *testing.T) {
 	c := NewCollector(0, 0, 3, 1)
 	if c.Percentile(99) != 0 {
 		t.Fatal("empty collector percentile must be 0")
+	}
+}
+
+// TestTimeBinJSONPinned pins the bytes a bin encodes to, which cached
+// rows and stream lines carry, with and without the accumulator, and
+// that decoding them restores the bin exactly.
+func TestTimeBinJSONPinned(t *testing.T) {
+	for _, tc := range []struct {
+		bin  TimeBin
+		want string
+	}{
+		{TimeBin{Start: 2000, Count: 97, AvgLat: 20.216494845360824, SumLat: 1961},
+			`{"start":2000,"count":97,"avg_lat":20.216494845360824,"sum_lat":1961}`},
+		{TimeBin{Start: 1000}, `{"start":1000,"count":0,"avg_lat":0}`},
+	} {
+		got, err := json.Marshal(tc.bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("Marshal(%+v) = %s, want %s", tc.bin, got, tc.want)
+		}
+		var back TimeBin
+		if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != tc.bin {
+			t.Errorf("Unmarshal(%s) = %+v, want %+v", tc.want, back, tc.bin)
+		}
 	}
 }

@@ -88,8 +88,10 @@ func (c *Cache) path(hash string) string {
 // unusable entries count as misses (and are removed so the slot heals
 // on the next Put): the caller recomputes and rewrites instead of ever
 // seeing an error-carrying Result for a point that would simulate fine.
-func (c *Cache) Get(j Job) (Result, bool) {
-	hash := j.Hash()
+func (c *Cache) Get(j Job) (Result, bool) { return c.get(j.Hash()) }
+
+// get is Get for a job whose hash the caller already holds.
+func (c *Cache) get(hash string) (Result, bool) {
 	c.mu.Lock()
 	r, ok := c.mem[hash]
 	c.mu.Unlock()
@@ -179,8 +181,10 @@ func (c *Cache) ReadEntry(hash string) ([]byte, bool) {
 
 // Put stores a finished result. Error-carrying results are the caller's
 // to filter; the engine never caches them (failures may be transient).
-func (c *Cache) Put(r Result) error {
-	hash := r.Job.Hash()
+func (c *Cache) Put(r Result) error { return c.put(r.Job.Hash(), r) }
+
+// put is Put for a row whose job hash the caller already holds.
+func (c *Cache) put(hash string, r Result) error {
 	e := entry{Hash: hash, Saved: time.Now().UTC(), WallNS: int64(r.Wall), Result: r}
 	data, err := json.MarshalIndent(e, "", " ")
 	if err != nil {

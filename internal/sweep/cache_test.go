@@ -440,3 +440,56 @@ func TestEngineWarmCacheParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheEntryFromEarlierBuild reads testdata/entry-v1.json, an entry
+// that Cache.Put wrote before stats.TimeBin lost its own JSON methods:
+// this tree must serve it under the same key, decode it to the row it
+// simulates itself, and encode that row to the stored bytes. A change
+// that re-keys the cache on purpose regenerates the fixture from this
+// spec with Cache.Put.
+func TestCacheEntryFromEarlierBuild(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "entry-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Patterns: []string{"uniform"}, Rates: []float64{0.05}, GatedFracs: []float64{0.5},
+		Mechanisms: []string{"gflov"}, Width: 4, Height: 4, Cycles: 3000, Warmup: 500, Seed: 7}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := jobs[0]
+	var stored struct {
+		Hash   string          `json:"hash"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if stored.Hash != j.Hash() {
+		t.Fatalf("cache key changed: entry %s, job now %s", stored.Hash, j.Hash())
+	}
+	got, ok := DecodeEntry(stored.Hash, data)
+	if !ok {
+		t.Fatal("entry no longer decodes")
+	}
+	if len(got.Res.Timeline) == 0 || got.Res.Timeline[0].SumLat == 0 {
+		t.Fatalf("entry decoded without its timeline accumulators: %+v", got.Res.Timeline)
+	}
+	want := j.Run()
+	want.Wall = got.Wall
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded row differs from a fresh run:\ngot  %+v\nwant %+v", got.Res, want.Res)
+	}
+	enc, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, stored.Result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, compact.Bytes()) {
+		t.Fatalf("row re-encodes differently:\ngot    %s\nstored %s", enc, compact.Bytes())
+	}
+}

@@ -39,6 +39,14 @@ type Engine struct {
 	// checkpoint instead of starting cold (the snapshot of an earlier
 	// Paused result for the same job).
 	Snapshots [][]byte
+
+	// Hashes, when non-nil, must be index-aligned with the job list
+	// passed to Run: element i is jobs[i].Hash(), the key the engine
+	// reads and fills the Cache under. Callers that already hashed the
+	// points (the serving layer does at admission, see HashPoints) pass
+	// them so no point is hashed twice; nil means the engine hashes each
+	// job itself.
+	Hashes []string
 }
 
 // Run executes jobs and returns one Result per job, in job order,
@@ -91,7 +99,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 }
 
 // one runs a single job: cache lookup, guarded execution, cache fill,
-// progress events.
+// progress events. A cache hit emits only its JobCacheHit event; a
+// JobStart precedes only a job that is about to simulate.
 func (e *Engine) one(index, total int, j Job) Result {
 	var snap []byte
 	if e.Snapshots != nil {
@@ -104,10 +113,14 @@ func (e *Engine) one(index, total int, j Job) Result {
 		return Result{Job: j, Paused: true}
 	}
 
-	e.emit(Event{Type: JobStart, Index: index, Total: total, Job: j})
-
+	var hash string
 	if e.Cache != nil {
-		if r, ok := e.Cache.Get(j); ok {
+		if e.Hashes != nil {
+			hash = e.Hashes[index]
+		} else {
+			hash = j.Hash()
+		}
+		if r, ok := e.Cache.get(hash); ok {
 			r.CacheHit = true
 			e.emit(Event{Type: JobCacheHit, Index: index, Total: total, Job: j,
 				Wall: r.Wall, SimCycles: r.SimCycles(), Result: &r})
@@ -115,6 +128,7 @@ func (e *Engine) one(index, total int, j Job) Result {
 		}
 	}
 
+	e.emit(Event{Type: JobStart, Index: index, Total: total, Job: j})
 	r := e.guardedRun(j, snap)
 
 	if r.Paused {
@@ -124,7 +138,7 @@ func (e *Engine) one(index, total int, j Job) Result {
 
 	if r.Err == "" && e.Cache != nil {
 		// Cache fills are best-effort: a full disk must not fail the sweep.
-		if err := e.Cache.Put(r); err != nil {
+		if err := e.Cache.put(hash, r); err != nil {
 			e.emit(Event{Type: CacheWriteError, Index: index, Total: total, Job: j, Err: err.Error()})
 		}
 	}

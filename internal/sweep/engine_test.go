@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -188,4 +190,66 @@ func TestSummarize(t *testing.T) {
 	if !strings.Contains(s.String(), "3 jobs (1 cached, 1 failed)") {
 		t.Fatalf("bad stats string: %s", s)
 	}
+}
+
+// TestEngineCacheHitEvents: a cache hit emits its JobCacheHit event and
+// nothing else, a simulated point JobStart then JobDone; and given
+// Hashes, the engine reads and fills the cache under those keys instead
+// of hashing the jobs itself.
+func TestEngineCacheHitEvents(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := testGrid()[:3]
+	var mu sync.Mutex
+	var seen [][]EventType
+	run := func(hashes []string) []Result {
+		t.Helper()
+		seen = make([][]EventType, len(jobs))
+		obs := progressFunc(func(e Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[e.Index] = append(seen[e.Index], e.Type)
+		})
+		e := &Engine{Workers: 2, Cache: c, Progress: obs, Hashes: hashes,
+			RunJob: func(j Job) Result { return Result{Job: j} }}
+		return e.Run(context.Background(), jobs)
+	}
+	check := func(name string, want []EventType) {
+		t.Helper()
+		for i, got := range seen {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: point %d events %v, want %v", name, i, got, want)
+			}
+		}
+	}
+
+	_, hashes := HashPoints(jobs)
+	run(hashes)
+	check("cold", []EventType{JobStart, JobDone})
+	for i, r := range run(hashes) {
+		if !r.CacheHit {
+			t.Fatalf("warm run missed point %d", i)
+		}
+	}
+	check("warm", []EventType{JobCacheHit})
+	for i, r := range run(nil) {
+		if !r.CacheHit {
+			t.Fatalf("warm run without Hashes missed point %d", i)
+		}
+	}
+
+	// Keys no point hashes to: every lookup misses, so the engine used
+	// the given hashes rather than its own.
+	foreign := make([]string, len(jobs))
+	for i := range foreign {
+		foreign[i] = strings.Repeat("0", 63) + strconv.Itoa(i)
+	}
+	for i, r := range run(foreign) {
+		if r.CacheHit {
+			t.Fatalf("point %d hit the cache under a foreign key", i)
+		}
+	}
+	check("foreign keys", []EventType{JobStart, JobDone})
 }

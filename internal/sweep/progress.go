@@ -12,7 +12,9 @@ type EventType int
 
 // Progress event types.
 const (
-	// JobStart fires when a worker picks a job up (before cache lookup).
+	// JobStart fires when a worker is about to simulate a job: after a
+	// cache miss, never for a cache hit (whose only event is
+	// JobCacheHit).
 	JobStart EventType = iota
 	// JobDone fires when a job simulated to completion.
 	JobDone

@@ -115,12 +115,22 @@ func ReadJobs(r io.Reader) ([]Job, error) {
 // single-node daemon's dedup key and cluster job ids both derive from
 // it.
 func PointsHash(points []Job) string {
+	h, _ := HashPoints(points)
+	return h
+}
+
+// HashPoints returns PointsHash(points) together with each point's own
+// Hash, index-aligned with points, so a caller that also needs the
+// cache keys (Engine.Hashes) hashes every point once.
+func HashPoints(points []Job) (string, []string) {
+	each := make([]string, len(points))
 	h := sha256.New()
-	for _, p := range points {
+	for i, p := range points {
+		each[i] = p.Hash()
 		// hash.Hash.Write never returns an error.
-		_, _ = fmt.Fprintf(h, "%s\n", p.Hash())
+		_, _ = io.WriteString(h, each[i]+"\n")
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), each
 }
 
 // Jobs expands the spec into its job list; a spec of more than
