@@ -51,21 +51,11 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	engine := &sweep.Engine{Workers: *workers}
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			var err error
-			if dir, err = sweep.DefaultDir(); err != nil {
-				fatal(err)
-			}
-		}
-		cache, err := sweep.NewCache(dir)
-		if err != nil {
-			fatal(err)
-		}
-		engine.Cache = cache
+	cache, err := sweep.OpenCache(*cacheDir, *noCache)
+	if err != nil {
+		fatal(err)
 	}
+	engine := &sweep.Engine{Workers: *workers, Cache: cache}
 	if *progress {
 		engine.Progress = sweep.NewReporter(os.Stderr)
 	}

@@ -83,20 +83,12 @@ func main() {
 		fatal(errors.New("-worker/-frontend require -store"))
 	}
 
-	var cache *sweep.Cache
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			var err error
-			if dir, err = sweep.DefaultDir(); err != nil {
-				fatal(err)
-			}
-		}
-		var err error
-		if cache, err = sweep.NewCache(dir); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "flovd: result cache at %s\n", dir)
+	cache, err := sweep.OpenCache(*cacheDir, *noCache)
+	if err != nil {
+		fatal(err)
+	}
+	if cache != nil {
+		fmt.Fprintf(os.Stderr, "flovd: result cache at %s\n", cache.Dir())
 	}
 
 	if *workerMode {

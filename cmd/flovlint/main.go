@@ -2,17 +2,14 @@
 // analyzers over the module: no ambient randomness or wall-clock time
 // in simulation packages, no map-iteration order leaking into results,
 // no silently discarded errors, lock discipline in the serving layer,
-// and — module-wide, over the static call graph — three proofs: that
+// and — module-wide, over the static call graph — two proofs: that
 // the simulation entry points never transitively reach a wall-clock,
-// math/rand, environment, or map-order source (reach); that every
+// math/rand, environment, or map-order source (reach); and that every
 // struct field reachable from the snapshot roots is round-tripped by
 // CaptureState/RestoreState or carries a //flovsnap:skip <reason>
-// exemption (statecov); and that the hot simulation paths
-// (network.Step, the router pipeline, the sim.Delay operations) perform
-// no steady-state heap allocation — make/new, growing append, interface
-// boxing, fmt calls, escaping closures — reported with the full call
-// chain from the root (hotalloc). See internal/analysis for the rules
-// and the //flovlint:allow suppression syntax.
+// exemption (statecov). See internal/analysis for the rules and the
+// //flovlint:allow suppression syntax; a suppression naming no
+// registered rule is itself a finding.
 //
 // Usage:
 //

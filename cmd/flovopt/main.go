@@ -70,17 +70,9 @@ func main() {
 		fatal(err)
 	}
 
-	var cache *sweep.Cache
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			if dir, err = sweep.DefaultDir(); err != nil {
-				fatal(err)
-			}
-		}
-		if cache, err = sweep.NewCache(dir); err != nil {
-			fatal(err)
-		}
+	cache, err := sweep.OpenCache(*cacheDir, *noCache)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := opt.Options{Workers: *workers, Cache: cache}

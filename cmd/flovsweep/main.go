@@ -74,7 +74,7 @@ func main() {
 		return
 	}
 
-	cache, err := openCache(*cacheDir, *noCache)
+	cache, err := sweep.OpenCache(*cacheDir, *noCache)
 	if err != nil {
 		fatal(err)
 	}
@@ -209,20 +209,6 @@ func exitOnFailures(results []flov.SweepResult, errs int) {
 		}
 	}
 	os.Exit(1)
-}
-
-// openCache resolves the cache directory and opens the store.
-func openCache(dir string, disabled bool) (*sweep.Cache, error) {
-	if disabled {
-		return nil, nil
-	}
-	if dir == "" {
-		var err error
-		if dir, err = sweep.DefaultDir(); err != nil {
-			return nil, err
-		}
-	}
-	return sweep.NewCache(dir)
 }
 
 // buildSpec loads the spec file or folds the grid flags into one; a

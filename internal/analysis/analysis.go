@@ -10,9 +10,8 @@
 // never lets map-iteration order leak into results. The analyzers in
 // this package check those rules mechanically, along with the other
 // contracts the module leans on: checked output and cache writes,
-// serving-layer lock discipline, snapshot coverage, and an
-// allocation-free, pure cycle kernel. cmd/flovlint wires them into a
-// CI gate.
+// serving-layer lock discipline and snapshot coverage. cmd/flovlint
+// wires them into a CI gate.
 //
 // Diagnostics can be suppressed for one line with a trailing or
 // preceding comment of the form:
@@ -21,7 +20,8 @@
 //
 // Suppressions are for code that is legitimately exempt (for example a
 // CLI that reports wall-clock runtime); they should always carry a
-// reason.
+// reason. A suppression naming no registered rule is itself a finding
+// (rule "allow"): a typo or a retired rule would silence nothing.
 package analysis
 
 import (
@@ -100,10 +100,11 @@ func Analyzers() []*Analyzer {
 }
 
 // RunPackage runs the given analyzers over one loaded package and
-// returns its diagnostics sorted by position.
+// returns its diagnostics, with its unknown-rule suppressions, sorted
+// by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	allowed := collectSuppressions(pkg.Fset, pkg.Files)
+	allowed := collectSuppressions(pkg.Fset, pkg.Files, &diags)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Fset:    pkg.Fset,
@@ -141,9 +142,11 @@ func SortDiagnostics(diags []Diagnostic) {
 
 // collectSuppressions indexes //flovlint:allow comments. A suppression
 // covers its own line (trailing comment) and the line below it
-// (comment on the preceding line).
-func collectSuppressions(fset *token.FileSet, files []*ast.File) map[allowKey]bool {
+// (comment on the preceding line). Names that match no rule of either
+// set, whatever subset is running, go to unknown when it is non-nil.
+func collectSuppressions(fset *token.FileSet, files []*ast.File, unknown *[]Diagnostic) map[allowKey]bool {
 	allowed := make(map[allowKey]bool)
+	known := RuleDocs()
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -159,6 +162,9 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) map[allowKey]bo
 					rule = strings.TrimSpace(rule)
 					if rule == "" {
 						continue
+					}
+					if _, ok := known[rule]; !ok && unknown != nil {
+						*unknown = append(*unknown, Diagnostic{Pos: pos, Rule: "allow", Msg: fmt.Sprintf("suppression names unknown rule %q", rule)})
 					}
 					allowed[allowKey{pos.Filename, pos.Line, rule}] = true
 					allowed[allowKey{pos.Filename, pos.Line + 1, rule}] = true

@@ -70,7 +70,7 @@ func wantFindings(t *testing.T, dir string) map[finding]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := make(map[string]bool)
+	rules := map[string]bool{"allow": true}
 	for _, a := range Analyzers() {
 		rules[a.Name] = true
 	}
@@ -129,6 +129,42 @@ func TestAnalyzersOnFixture(t *testing.T) {
 	for f, n := range got {
 		if want[f] == 0 {
 			t.Errorf("%s:%d: unexpected %s finding (x%d)", f.file, f.line, f.rule, n)
+		}
+	}
+}
+
+// TestAllowNamesKnownRule checks suppressions against the registered
+// rules: a working one silences its finding, while a misspelt or
+// retired rule name silences nothing and is an "allow" finding. The
+// check holds under a rule subset too, as with flovlint -rule.
+func TestAllowNamesKnownRule(t *testing.T) {
+	const path = "flov/internal/allowfix" // restricted: nondeterm applies
+	loader := newDirLoader(t, map[string]string{path: "allow"})
+	pkg, err := loader.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "allow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantFindings(t, dir)
+	subsetWant := make(map[finding]int)
+	for f, n := range want {
+		if f.rule == "allow" {
+			subsetWant[f] = n
+		}
+	}
+	for _, run := range []struct {
+		analyzers []*Analyzer
+		want      map[finding]int
+	}{{Analyzers(), want}, {[]*Analyzer{MapRangeAnalyzer}, subsetWant}} {
+		got := make(map[finding]int)
+		for _, d := range RunPackage(pkg, run.analyzers) {
+			got[finding{filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule}]++
+		}
+		if !reflect.DeepEqual(got, run.want) {
+			t.Errorf("%d analyzer(s): findings %v, want %v", len(run.analyzers), got, run.want)
 		}
 	}
 }

@@ -20,9 +20,6 @@ type Module struct {
 	// Roots are the reach entry points, defaulting to DefaultReachRoots
 	// when nil; tests substitute fixture entry points.
 	Roots []RootSpec
-	// HotRoots are the hotalloc entry points, defaulting to
-	// DefaultHotAllocRoots when nil.
-	HotRoots []RootSpec
 
 	graph *CallGraph // built lazily, shared across module analyzers
 }
@@ -79,7 +76,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ModuleAnalyzers returns the module-wide flovlint analyzer set.
 func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer, HotAllocAnalyzer}
+	return []*ModuleAnalyzer{ReachAnalyzer, StatecovAnalyzer}
 }
 
 // RunModule runs the given module analyzers over the loaded module and
@@ -88,7 +85,7 @@ func RunModule(m *Module, analyzers []*ModuleAnalyzer) []Diagnostic {
 	var diags []Diagnostic
 	allowed := make(map[allowKey]bool)
 	for _, pkg := range m.Packages {
-		for k, v := range collectSuppressions(pkg.Fset, pkg.Files) {
+		for k, v := range collectSuppressions(pkg.Fset, pkg.Files, nil) {
 			allowed[k] = v
 		}
 	}

@@ -129,13 +129,11 @@ func TestWriteSARIF(t *testing.T) {
 	}
 }
 
-// TestNewRulesSARIF round-trips real statecov and hotalloc findings
-// from their fixtures through the SARIF log.
+// TestNewRulesSARIF round-trips real statecov findings from their
+// fixture through the SARIF log.
 func TestNewRulesSARIF(t *testing.T) {
 	diags := RunModule(loadSnapcovModule(t), []*ModuleAnalyzer{StatecovAnalyzer})
-	diags = append(diags, RunModule(loadHotpathModule(t), []*ModuleAnalyzer{HotAllocAnalyzer})...)
 	checkSARIFResults(t, diags, map[string]string{
 		"statecov": "snapcov/snapfix.go",
-		"hotalloc": "hotpath/hotfix.go",
 	})
 }

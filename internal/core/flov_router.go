@@ -165,7 +165,7 @@ func (w *flovRouter) send(d topology.Direction, m Msg) {
 	if w.r.Ports[d].OutCtrl == nil {
 		return
 	}
-	w.r.Ports[d].OutCtrl.Push(w.now, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+	w.r.Ports[d].OutCtrl.Push(w.now, router.CtrlSignal(m))
 	w.mech.ledger.AddDyn(power.CatHandshake, 1)
 }
 
@@ -193,7 +193,7 @@ func (w *flovRouter) relay(from topology.Direction, s router.Signal) {
 // would die at the edge and wedge the requester in Draining/Wakeup.
 func (w *flovRouter) relayOrBounce(from topology.Direction, m Msg) {
 	if w.r.Ports[from.Opposite()].OutCtrl != nil {
-		w.relay(from, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+		w.relay(from, router.CtrlSignal(m))
 		return
 	}
 	w.send(from, Msg{Type: MsgDrainDone, From: w.id, To: m.From})
@@ -498,7 +498,7 @@ func (w *flovRouter) commitSleep(now int64) {
 		if w.physID[far] >= 0 {
 			m.LogID = w.logID[far]
 			m.LogState = w.logState[far]
-			m.Counts = append([]int(nil), w.r.Out(far).Credits...) //flovlint:allow hotalloc -- credit-sync snapshot taken once per sleep commit
+			m.Counts = append([]int(nil), w.r.Out(far).Credits...)
 		}
 		w.send(topology.Direction(d), m)
 	}
@@ -623,12 +623,12 @@ func (w *flovRouter) handleWakeupMsg(d topology.Direction, m Msg) {
 		if m.To == w.id {
 			w.doneNeeded[d] = false
 		} else {
-			w.relay(d, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+			w.relay(d, router.CtrlSignal(m))
 		}
 	case MsgDrainReject, MsgCreditSync:
 		// Point-to-point replies for someone else pass through.
 		if m.To != w.id {
-			w.relay(d, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+			w.relay(d, router.CtrlSignal(m))
 		}
 	case MsgDrainReq:
 		// Draining loses to Wakeup: force the requester to abort.
@@ -644,12 +644,12 @@ func (w *flovRouter) handleWakeupMsg(d topology.Direction, m Msg) {
 		w.relayOrBounce(d, m)
 	case MsgSleep:
 		w.observe(d, m)
-		w.relay(d, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+		w.relay(d, router.CtrlSignal(m))
 	case MsgAwake:
 		w.observe(d, m)
 	case MsgWakeTarget:
 		if m.Target != w.id {
-			w.relay(d, router.CtrlSignal(m)) //flovlint:allow hotalloc -- control messages flow only during power transitions
+			w.relay(d, router.CtrlSignal(m))
 		}
 	default:
 		w.observe(d, m)

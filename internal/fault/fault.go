@@ -118,7 +118,7 @@ func ParseDir(s string) (topology.Direction, error) {
 	case "W", "w", "west":
 		return topology.West, nil
 	}
-	return 0, fmt.Errorf("fault: unknown link direction %q", s) //flovlint:allow hotalloc -- reached only when a fault event fires, never in steady state
+	return 0, fmt.Errorf("fault: unknown link direction %q", s)
 }
 
 // ParseSpec decodes a fault spec from JSON, rejecting unknown fields so a
@@ -348,12 +348,12 @@ func (inj *Injector) Reachable(a, b int) bool {
 func (inj *Injector) recomputeComponents() {
 	inj.permVersion++
 	n := inj.mesh.N()
-	comp := make([]int, n) //flovlint:allow hotalloc -- recompute runs only when the permanent fault set changes
+	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
 	next := 0
-	queue := make([]int, 0, n) //flovlint:allow hotalloc -- recompute runs only when the permanent fault set changes
+	queue := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		if comp[start] >= 0 || inj.routerDown[start] == permanentlyDown {
 			continue
@@ -371,7 +371,7 @@ func (inj *Injector) recomputeComponents() {
 					continue
 				}
 				comp[nb] = next
-				queue = append(queue, nb) //flovlint:allow hotalloc -- recompute runs only when the permanent fault set changes
+				queue = append(queue, nb)
 			}
 		}
 		next++

@@ -100,7 +100,7 @@ func (n *Network) applyFaultChange(now int64) {
 	}
 	if n.Trace != nil {
 		n.Trace.Addf(now, nlog.KFault, -1, "fault state changed: %d link / %d router faults so far",
-			n.Faults.LinkFaults(), n.Faults.RouterFaults()) //flovlint:allow hotalloc -- opt-in tracing of fault events
+			n.Faults.LinkFaults(), n.Faults.RouterFaults())
 	}
 }
 
@@ -115,7 +115,7 @@ func (n *Network) classifyQueued(now int64) {
 				n.Stats.NotePacketLost(p, 0)
 				if n.Trace != nil {
 					n.Trace.Addf(now, nlog.KFault, p.Src, "dropped queued pkt%d %d->%d (partitioned)",
-						p.ID, p.Src, p.Dst) //flovlint:allow hotalloc -- opt-in tracing of classified drops
+						p.ID, p.Src, p.Dst)
 				}
 			})
 	}

@@ -292,7 +292,7 @@ func (n *Network) Step() {
 				n.Gen.SetActive(n.activeMask())
 			}
 			if n.Trace != nil {
-				n.Trace.Addf(now, nlog.KGating, -1, "mask changed: %d cores gated", countGated(n.gatedMask)) //flovlint:allow hotalloc -- opt-in tracing of gating-change events
+				n.Trace.Addf(now, nlog.KGating, -1, "mask changed: %d cores gated", countGated(n.gatedMask))
 			}
 			n.gatingChanged(now)
 		}

@@ -129,7 +129,7 @@ func (ni *NI) DropWhere(pred func(p *noc.Packet) bool, onDrop func(p *noc.Packet
 			if pred(p) {
 				onDrop(p)
 			} else {
-				kept = append(kept, p) //flovlint:allow hotalloc -- drop classification runs only under permanent faults
+				kept = append(kept, p)
 			}
 		}
 		// Zero the tail so dropped packets do not linger in the backing
@@ -243,7 +243,7 @@ func (ni *NI) eject(f *noc.Flit, now int64) {
 		}
 		p.EjectedAt = now
 		if ni.Trace != nil {
-			ni.Trace.Addf(now, nlog.KPacket, ni.ID, "delivered pkt%d %d->%d lat=%d", p.ID, p.Src, p.Dst, p.TotalLatency()) //flovlint:allow hotalloc -- opt-in delivery tracing
+			ni.Trace.Addf(now, nlog.KPacket, ni.ID, "delivered pkt%d %d->%d lat=%d", p.ID, p.Src, p.Dst, p.TotalLatency())
 		}
 		ni.Stats.Record(p)
 		if ni.OnDeliver != nil {

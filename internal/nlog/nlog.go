@@ -124,7 +124,7 @@ func (l *Log) Addf(cycle int64, kind Kind, router int, format string, args ...an
 	if !l.enabled[kind] {
 		return
 	}
-	l.Add(cycle, kind, router, fmt.Sprintf(format, args...)) //flovlint:allow hotalloc -- formatting only runs when tracing is enabled
+	l.Add(cycle, kind, router, fmt.Sprintf(format, args...))
 }
 
 // Total returns how many events were recorded (including evicted ones).

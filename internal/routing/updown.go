@@ -46,17 +46,17 @@ func BuildUpDownTable(m topology.Mesh, active []bool, root int) (*Table, error) 
 func BuildUpDownTableLinks(m topology.Mesh, active []bool, root int, linkOK func(u int, d topology.Direction) bool) (*Table, error) {
 	n := m.N()
 	if len(active) != n {
-		return nil, fmt.Errorf("routing: active mask has %d entries for %d nodes", len(active), n) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+		return nil, fmt.Errorf("routing: active mask has %d entries for %d nodes", len(active), n)
 	}
 	if !active[root] {
-		return nil, fmt.Errorf("routing: up*/down* root %d is not active", root) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+		return nil, fmt.Errorf("routing: up*/down* root %d is not active", root)
 	}
-	usable := func(u int, d topology.Direction) bool { //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+	usable := func(u int, d topology.Direction) bool {
 		return linkOK == nil || linkOK(u, d)
 	}
 
 	// BFS levels from root over the active subgraph define up/down.
-	level := make([]int, n) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+	level := make([]int, n)
 	for i := range level {
 		level[i] = -1
 	}
@@ -69,23 +69,23 @@ func BuildUpDownTableLinks(m topology.Mesh, active []bool, root int, linkOK func
 			v := m.Neighbor(u, d)
 			if v >= 0 && active[v] && usable(u, d) && level[v] < 0 {
 				level[v] = level[u] + 1
-				queue = append(queue, v) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+				queue = append(queue, v)
 			}
 		}
 	}
 
 	// isUp reports whether the directed link u->v is an "up" link: toward
 	// the root (strictly smaller level, ties broken by smaller node id).
-	isUp := func(u, v int) bool { //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+	isUp := func(u, v int) bool {
 		if level[v] != level[u] {
 			return level[v] < level[u]
 		}
 		return v < u
 	}
 
-	t := &Table{m: m, next: make([][]topology.Direction, n)} //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+	t := &Table{m: m, next: make([][]topology.Direction, n)}
 	for i := range t.next {
-		t.next[i] = make([]topology.Direction, n) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+		t.next[i] = make([]topology.Direction, n)
 		for j := range t.next[i] {
 			t.next[i][j] = NoRouteDir
 		}
@@ -103,7 +103,7 @@ func BuildUpDownTableLinks(m topology.Mesh, active []bool, root int, linkOK func
 			st       upDownState
 			firstHop topology.Direction
 		}
-		seen := make(map[upDownState]bool, 2*n) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+		seen := make(map[upDownState]bool, 2*n)
 		start := upDownState{node: src, down: false}
 		seen[start] = true
 		frontier := []entry{{st: start, firstHop: NoRouteDir}}
@@ -131,7 +131,7 @@ func BuildUpDownTableLinks(m topology.Mesh, active []bool, root int, linkOK func
 					if t.next[src][v] == NoRouteDir {
 						t.next[src][v] = fh
 					}
-					next = append(next, entry{st: st, firstHop: fh}) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+					next = append(next, entry{st: st, firstHop: fh})
 				}
 			}
 			frontier = next
@@ -165,7 +165,7 @@ func ConnectedLinks(m topology.Mesh, active []bool, linkOK func(u int, d topolog
 	if total <= 1 {
 		return true
 	}
-	seen := make([]bool, n) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+	seen := make([]bool, n)
 	seen[start] = true
 	count := 1
 	queue := []int{start}
@@ -177,7 +177,7 @@ func ConnectedLinks(m topology.Mesh, active []bool, linkOK func(u int, d topolog
 			if v >= 0 && active[v] && !seen[v] && (linkOK == nil || linkOK(u, d)) {
 				seen[v] = true
 				count++
-				queue = append(queue, v) //flovlint:allow hotalloc -- table rebuild is event-driven (reconfiguration), not per cycle
+				queue = append(queue, v)
 			}
 		}
 	}

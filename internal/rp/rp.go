@@ -96,7 +96,7 @@ func (m *Mechanism) Attach(n *network.Network) {
 // OnGatingChange starts (or restarts) a reconfiguration epoch: Phase I
 // stalls every injection while the FM recomputes and distributes state.
 func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
-	m.pendingGated = append([]bool(nil), gated...) //flovlint:allow hotalloc -- pending mask copy happens only on gating-change events
+	m.pendingGated = append([]bool(nil), gated...)
 	activeRouters := 0
 	for _, p := range m.parked {
 		if !p {
@@ -111,7 +111,7 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 	m.reconfigReady = now + phase1
 	m.reconfigs++
 	if m.net.Trace != nil {
-		m.net.Trace.Addf(now, nlog.KReconfig, -1, "FM Phase I begins: network stalled for >= %d cycles", phase1) //flovlint:allow hotalloc -- opt-in reconfiguration tracing
+		m.net.Trace.Addf(now, nlog.KReconfig, -1, "FM Phase I begins: network stalled for >= %d cycles", phase1)
 	}
 	// Table distribution traffic: one control message per active router.
 	m.ledger.AddDyn(power.CatHandshake, activeRouters)
@@ -162,7 +162,7 @@ func (m *Mechanism) networkEmpty() bool {
 // releases the injection stall.
 func (m *Mechanism) applyReconfiguration(now int64) {
 	newParked := m.computeParkedSet(m.pendingGated)
-	active := make([]bool, len(newParked)) //flovlint:allow hotalloc -- reconfiguration is event-driven, not per-cycle work
+	active := make([]bool, len(newParked))
 	for i, p := range newParked {
 		active[i] = !p && !m.routerDead(i)
 	}
@@ -193,7 +193,7 @@ func (m *Mechanism) applyReconfiguration(now int64) {
 		on, gated := m.RouterPowerCounts()
 		m.net.Trace.Addf(now, nlog.KReconfig, -1,
 			"FM reconfiguration applied after %d stalled cycles: %d parked, %d active",
-			now-m.stallStart, gated, on) //flovlint:allow hotalloc -- opt-in reconfiguration tracing
+			now-m.stallStart, gated, on)
 	}
 }
 
@@ -203,8 +203,8 @@ func (m *Mechanism) applyReconfiguration(now int64) {
 // component.
 func (m *Mechanism) computeParkedSet(gated []bool) []bool {
 	n := m.net.Cfg.N()
-	parked := make([]bool, n) //flovlint:allow hotalloc -- reconfiguration is event-driven, not per-cycle work
-	active := make([]bool, n) //flovlint:allow hotalloc -- reconfiguration is event-driven, not per-cycle work
+	parked := make([]bool, n)
+	active := make([]bool, n)
 	for i := 0; i < n; i++ {
 		active[i] = !m.routerDead(i)
 	}
@@ -212,14 +212,14 @@ func (m *Mechanism) computeParkedSet(gated []bool) []bool {
 	// The FM is centralized and sees all pending traffic: a router whose
 	// node still has packets queued toward it must not be parked, or the
 	// packets would become unroutable.
-	hasPending := make([]bool, n) //flovlint:allow hotalloc -- reconfiguration is event-driven, not per-cycle work
+	hasPending := make([]bool, n)
 	for _, ni := range m.net.NIs {
 		ni.EachPending(func(p *noc.Packet) { hasPending[p.Dst] = true })
 	}
 	var candidates []int
 	for i := 0; i < n; i++ {
 		if gated[i] && i != m.fmNode && !hasPending[i] {
-			candidates = append(candidates, i) //flovlint:allow hotalloc -- reconfiguration is event-driven, not per-cycle work
+			candidates = append(candidates, i)
 		}
 	}
 	sort.Ints(candidates)
@@ -252,7 +252,7 @@ func (m *Mechanism) linkOK() func(u int, d topology.Direction) bool {
 	if inj == nil || !inj.HasPermanent() {
 		return nil
 	}
-	return func(u int, d topology.Direction) bool { return !inj.LinkPermanentlyDown(u, d) } //flovlint:allow hotalloc -- fault-aware link filter built once per reconfiguration
+	return func(u int, d topology.Direction) bool { return !inj.LinkPermanentlyDown(u, d) }
 }
 
 // powerRouters tells every router's pipeline whether it is parked from

@@ -20,7 +20,6 @@ import (
 //
 //	POST /v1/sweeps            submit a spec, return immediately (202)
 //	POST /v1/sweeps/run        submit a spec and stream NDJSON until done
-//	POST /v1/opt/run           run a design-space search, stream generations
 //	GET  /v1/sweeps/{id}       job status
 //	GET  /v1/sweeps/{id}/stream  NDJSON replay + live follow; ?from=N skips N lines
 //	GET  /v1/sweeps/{id}/results result rows of a finished job
@@ -35,7 +34,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	mux.HandleFunc("POST /v1/sweeps/run", s.handleRun)
-	mux.HandleFunc("POST /v1/opt/run", s.handleOptRun)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)

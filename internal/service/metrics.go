@@ -32,12 +32,6 @@ type metrics struct {
 	packetsDropped atomic.Int64 // packets classified as lost across finished points
 	trialsViolated atomic.Int64 // fault-scenario points that tripped a correctness oracle
 
-	// Design-space optimizer observability (POST /v1/opt/run).
-	optRuns        atomic.Int64 // searches started
-	optGenerations atomic.Int64 // generations completed across searches
-	optEvaluations atomic.Int64 // candidates scored (simulated + reused)
-	optFailed      atomic.Int64 // searches that ended in an error
-
 	panics atomic.Int64 // handler panics caught by the recovery middleware
 
 	jobWallMS   stats.Histogram // submit-to-finish latency per job
@@ -68,10 +62,6 @@ func (m *metrics) render(b *strings.Builder, queueDepth, running int, draining b
 	counter("flovd_faults_injected_total", "faults injected across finished fault-scenario points", m.faultsInjected.Load())
 	counter("flovd_packets_dropped_total", "packets classified as lost across finished points", m.packetsDropped.Load())
 	counter("flovd_trials_violated_total", "fault-scenario points that tripped a correctness oracle", m.trialsViolated.Load())
-	counter("flovd_opt_runs_total", "design-space searches started", m.optRuns.Load())
-	counter("flovd_opt_generations_total", "optimizer generations completed", m.optGenerations.Load())
-	counter("flovd_opt_evaluations_total", "optimizer candidates scored", m.optEvaluations.Load())
-	counter("flovd_opt_failed_total", "design-space searches that ended in an error", m.optFailed.Load())
 	counter("flovd_handler_panics_total", "HTTP handler panics recovered", m.panics.Load())
 	if cache != nil {
 		hits, misses, writes := cache.Counters()

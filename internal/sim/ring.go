@@ -49,7 +49,7 @@ func (r *Ring[T]) Push(v T) {
 //
 //go:noinline
 func (r *Ring[T]) grow() {
-	out := make([]T, max(2*len(r.buf), r.mask+1)) //flovlint:allow hotalloc -- amortized like the x.f = append(x.f, ...) refills the rule exempts: a ring allocates at its first push, then only when a push finds it full
+	out := make([]T, max(2*len(r.buf), r.mask+1))
 	for i := 0; i < r.n; i++ {
 		out[i] = r.buf[(r.head+i)&r.mask]
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // Cache is a content-addressed on-disk result store. Entries are keyed
-// by Job.Hash (which folds in the schema and module versions), so a
-// changed config, seed, or simulator version misses cleanly instead of
-// serving stale rows. Layout: <dir>/<hh>/<hash>.json where hh is the
+// by Job.Hash (which folds in the schema versions), so a changed
+// config, seed, or schema version misses cleanly instead of serving
+// stale rows. Layout: <dir>/<hh>/<hash>.json where hh is the
 // first hash byte, to keep directories small. Older builds also wrote
 // post-warmup snapshots there as .snap sidecars; nothing reads them, Len
 // does not count them and Clear removes them with the rest.
@@ -74,6 +74,21 @@ func NewCache(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("sweep: create cache dir: %w", err)
 	}
 	return &Cache{dir: dir}, nil
+}
+
+// OpenCache opens the cache the CLIs share: nil when disabled, else
+// dir, or DefaultDir when dir is empty.
+func OpenCache(dir string, disabled bool) (*Cache, error) {
+	if disabled {
+		return nil, nil
+	}
+	if dir == "" {
+		var err error
+		if dir, err = DefaultDir(); err != nil {
+			return nil, err
+		}
+	}
+	return NewCache(dir)
 }
 
 // Dir returns the cache root.

@@ -294,6 +294,25 @@ func TestDefaultDirEnvOverride(t *testing.T) {
 	}
 }
 
+// TestOpenCache: -no-cache opens nothing, an explicit directory wins,
+// and an empty one falls back to DefaultDir.
+func TestOpenCache(t *testing.T) {
+	env, explicit := t.TempDir(), t.TempDir()
+	t.Setenv("FLOV_SWEEP_CACHE", env)
+	if c, err := OpenCache(explicit, true); c != nil || err != nil {
+		t.Fatalf("disabled: got %v, %v", c, err)
+	}
+	for dir, want := range map[string]string{explicit: explicit, "": env} {
+		c, err := OpenCache(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Dir() != want {
+			t.Errorf("OpenCache(%q) dir %q, want %q", dir, c.Dir(), want)
+		}
+	}
+}
+
 // memJob is a point with every slice-carrying field set, so the
 // in-memory table's copies are exercised on all of them.
 func memJob() Job {

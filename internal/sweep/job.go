@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"flov/internal/config"
@@ -197,16 +196,12 @@ const SchemaVersion = "flov-sweep-v1"
 // simulate a bump.
 var snapSchemaVersion = snapshot.SchemaVersion
 
-// moduleVersion pins cache keys to the built module version so an
-// upgraded binary never serves results simulated by an older one.
-// Development builds report "(devel)"; the SchemaVersion constant is the
-// knob that matters there.
-var moduleVersion = func() string {
-	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
-		return bi.Main.Version
-	}
-	return "unknown"
-}()
+// versionToken fills the module-version field of the hash preimage. It
+// is fixed so binaries built at different commits share cache keys,
+// and "(devel)" is what tests, `go run` and -buildvcs=false builds have
+// always folded there, so their entries still hit. SchemaVersion is the
+// knob that invalidates rows.
+const versionToken = "(devel)"
 
 // canonical is the job's canonical encoding, the preimage of Hash: the
 // same bytes as json.Marshal(j), without the second pass encoding/json
@@ -225,12 +220,12 @@ func (j Job) canonical() []byte {
 }
 
 // Hash returns the canonical content hash of the job: the hex SHA-256
-// over the schema version, snapshot schema version, module version and
+// over the schema version, snapshot schema version, versionToken and
 // the canonical encoding.
 func (j Job) Hash() string {
 	h := sha256.New()
 	// hash.Hash.Write is documented to never return an error.
-	_, _ = io.WriteString(h, SchemaVersion+"|"+snapSchemaVersion+"|"+moduleVersion+"|")
+	_, _ = io.WriteString(h, SchemaVersion+"|"+snapSchemaVersion+"|"+versionToken+"|")
 	_, _ = h.Write(j.canonical())
 	return hex.EncodeToString(h.Sum(nil))
 }

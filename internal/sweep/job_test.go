@@ -120,7 +120,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 // carry, so hashing without the Marshaler pass orphans no cache entry
 // written by a build that hashed json.Marshal(j).
 func TestJobCanonicalIsMarshal(t *testing.T) {
-	prefix := SchemaVersion + "|" + snapSchemaVersion + "|" + moduleVersion + "|"
+	prefix := SchemaVersion + "|" + snapSchemaVersion + "|" + versionToken + "|"
 	rich := quickJob(config.GFLOV, 0.05, 0.25)
 	rich.Pattern = traffic.Hotspot
 	rich.Protect = []int{0, 3}

@@ -17,9 +17,11 @@ import (
 // of the seed-1 closed-loop PARSEC dedup run under gFLOV, where the
 // trace driver gates cores mid-run and enqueues packets while the
 // network steps. Any kernel change that alters a simulated statistic
-// changes a digest. Record new digests from the failure
-// message only when that change is intended. The digests were recorded
-// on amd64; a platform that fuses multiply-adds may compute different
+// changes a digest. Record new digests from the failure message only
+// when that change is intended, and bump sweep.SchemaVersion with them:
+// cache keys do not depend on the build, so the bump is what stops
+// caches serving the old rows. The digests were recorded on amd64; a
+// platform that fuses multiply-adds may compute different
 // floating-point rows.
 var kernelDigests = []struct {
 	name        string
