@@ -11,6 +11,8 @@ import (
 
 	"flov/internal/config"
 	"flov/internal/fault"
+	"flov/internal/network"
+	"flov/internal/stats"
 	"flov/internal/trace"
 	"flov/internal/traffic"
 )
@@ -154,17 +156,100 @@ func TestJobCanonicalIsMarshal(t *testing.T) {
 	}
 }
 
-// TestJobCanonicalPinned pins one job's canonical encoding (without the
-// version prefix, which differs between builds). Any change to it
-// orphans every cache entry and warm blob, so update the literal only
-// when that is intended (a new Config field, say).
+// TestJobCanonicalPinned pins the canonical encoding (without the
+// version prefix, which differs between builds) of one job per
+// mechanism, per pattern name and per optional block: any change to it
+// orphans every cache entry and warm blob, so update a literal only
+// when that is intended (a new Config field, say). json.Marshal must
+// render the same bytes, since a stream row carries the job that way.
 func TestJobCanonicalPinned(t *testing.T) {
-	j := quickJob(config.GFLOV, 0.02, 0.5)
-	j.Protect = []int{0, 5}
-	sum := sha256.Sum256(j.canonical())
-	const want = "28edd7966dc039e5d0c6c55cad4df37eb6209267dae617a11525114cfef4855f"
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("canonical encoding hash = %s, want %s\n%s", got, want, j.canonical())
+	withPattern := func(p traffic.Pattern) Job {
+		j := quickJob(config.RP, 0.02, 0.5)
+		j.Pattern = p
+		return j
+	}
+	gflov := quickJob(config.GFLOV, 0.02, 0.5)
+	gflov.Protect = []int{0, 5}
+	hotspot := withPattern(traffic.Hotspot)
+	hotspot.Hotspots = []int{5, 10}
+	hotspot.Protect = []int{0, 3}
+	faults := quickJob(config.GFLOV, 0.05, 0.25)
+	faults.Faults = &fault.Spec{Seed: 3, LinkRate: 1e-4, TransientCycles: 60, Schedule: []fault.Event{
+		{At: 100, Kind: "link", Node: 5, Dir: "E", Transient: 40},
+		{At: 200, Kind: "router", Node: 9},
+	}}
+	parsec, err := (Spec{Benchmarks: []string{"canneal"}, Mechanisms: []string{"rflov"}, Seed: 11, MaxCycles: 123_456}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"gflov protect", gflov, "28edd7966dc039e5d0c6c55cad4df37eb6209267dae617a11525114cfef4855f"},
+		{"baseline", quickJob(config.Baseline, 0.02, 0.5), "c8b4319bb0334e2614509d853753644f243d05d7a5e9d1970e7586b252d16999"},
+		{"rp", quickJob(config.RP, 0.02, 0.5), "4111d4c4e6974e7d15dc2f11a688cf24f25082e9cbfa7e5371202a2b261a6722"},
+		{"rflov", quickJob(config.RFLOV, 0.02, 0.5), "14876c067e313c68b7076d0bb375791d2cec4e6132bdc2f9bd4734c949c9a677"},
+		{"tornado", withPattern(traffic.Tornado), "050da04339cad8a2bbd782c569c4745c35066234cd14909caa0892866f6a2e4e"},
+		{"transpose", withPattern(traffic.Transpose), "e70c6671f1221685754f6632a9606da27ad0ddd78f6b19b5231f555c9db3623c"},
+		{"bitcomp", withPattern(traffic.BitComplement), "5cb77aec74f1d39c22fbd925f63c8a472bdcbb52b23ba7cd72b709e92c32dd20"},
+		{"neighbor", withPattern(traffic.Neighbor), "a232fd98d312c77713fab7e61150249017cf2767fa0d0f22cbd69f93672891da"},
+		{"hotspot", hotspot, "d5ca2957b9752123f89245875146e16dbecb60df6a50783e25ed71df8ccdfa13"},
+		{"faults", faults, "b1d66a26919a3a04c140a200e63f2326feb7325df7caa027caa6dfc63bbdf19e"},
+		{"parsec", parsec[0], "be78119b73735d5e161ebc7691892dfa2bd3958c777b024f31aedf7f3dda7bbd"},
+	} {
+		enc := c.job.canonical()
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: canonical encoding hash = %s, want %s\n%s", c.name, got, c.want, enc)
+		}
+		if m, err := json.Marshal(c.job); err != nil || !bytes.Equal(m, enc) {
+			t.Errorf("%s: json.Marshal = %s, %v; want the canonical bytes", c.name, m, err)
+		}
+	}
+}
+
+// TestResultRowPinned pins the full JSON of one synthetic and one
+// PARSEC result: the body of a stream line, a cluster event and a cache
+// entry. The values are literals, so only a change to the wire form
+// (not to the simulator) moves these bytes.
+func TestResultRowPinned(t *testing.T) {
+	syn := quickJob(config.GFLOV, 0.02, 0.5)
+	syn.Protect = []int{0, 5}
+	parsec, err := (Spec{Benchmarks: []string{"dedup"}, Mechanisms: []string{"gflov"}, Seed: 1, MaxCycles: 2_000}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		row  Result
+		want string
+	}{
+		{"synthetic", Result{Job: syn, Res: network.Results{
+			Mechanism: "gFLOV", Pattern: "uniform", InjRate: 0.02, GatedPct: 0.5,
+			AvgLatency: 21.75, AvgNetLatency: 17.5, Breakdown: stats.Breakdown{Router: 9.25, Link: 4, Serialization: 3, FLOV: 1.25, Contention: 0.5},
+			MaxLatency: 64, P99Latency: 32, AvgHops: 2.6, EscapeFrac: 0.01,
+			StaticPowerW: 0.05, DynamicPowerW: 0.0125, TotalPowerW: 0.0625,
+			StaticEnergyPJ: 87500, DynamicEnergyPJ: 21875, TotalEnergyPJ: 109375,
+			Packets: 311, Cycles: 3500, RunCycles: 4096, ThroughputFpc: 0.0199,
+			Timeline:     []stats.TimeBin{{Start: 0, Count: 40, AvgLat: 20.5, SumLat: 820}, {Start: 1000, Count: 7, AvgLat: 19}},
+			GatedRouters: 6, PoweredRouters: 10,
+		}}, `{"job":{"kind":"synthetic","config":{"Width":4,"Height":4,"BufferDepth":6,"RouterStages":3,"VCsPerVNet":3,"EscapePerVNet":1,"VNets":1,"LinkLatency":1,"PacketSize":4,"EjectionQueues":4,"ClockHz":2000000000,"GatingOverheadPJ":17.7,"WakeupLatency":10,"IdleThreshold":8,"EscapeTimeout":64,"FLOVHopLatency":1,"TransitionTimeout":256,"RetryBackoff":32,"RPPhase1Base":700,"RPPhase1PerNode":2,"WarmupCycles":500,"TotalCycles":4000,"DrainCycles":20000,"Seed":7,"TimelineBinSz":1000,"Mechanism":3},"pattern":"uniform","rate":0.02,"gated_frac":0.5,"mask_seed":99,"protect":[0,5],"mechanism":"gFLOV","profile":{"Name":"","GatedFraction":0,"MSHRs":0,"ThinkMean":0,"MCFraction":0,"ReqFlits":0,"RespFlits":0,"MCServiceLat":0,"PeerServiceLat":0,"QuotaPerCore":0,"Phases":0}},"res":{"Mechanism":"gFLOV","Pattern":"uniform","InjRate":0.02,"GatedPct":0.5,"AvgLatency":21.75,"AvgNetLatency":17.5,"Breakdown":{"Router":9.25,"Link":4,"Serialization":3,"FLOV":1.25,"Contention":0.5},"MaxLatency":64,"P99Latency":32,"AvgHops":2.6,"EscapeFrac":0.01,"StaticPowerW":0.05,"DynamicPowerW":0.0125,"TotalPowerW":0.0625,"StaticEnergyPJ":87500,"DynamicEnergyPJ":21875,"TotalEnergyPJ":109375,"Packets":311,"Cycles":3500,"RunCycles":4096,"Undelivered":0,"ThroughputFpc":0.0199,"Timeline":[{"start":0,"count":40,"avg_lat":20.5,"sum_lat":820},{"start":1000,"count":7,"avg_lat":19}],"GatedRouters":6,"PoweredRouters":10},"out":{"Benchmark":"","Mechanism":"","RuntimeCyc":0,"Transactions":0,"StaticPJ":0,"DynamicPJ":0,"TotalPJ":0,"AvgPktLatency":0,"Completed":false}}`},
+		{"parsec", Result{Job: parsec[0], Err: IncompleteError("dedup", config.GFLOV, 2_000).Error(), Out: trace.Outcome{
+			Benchmark: "dedup", Mechanism: "gFLOV", RuntimeCyc: 2_000, Transactions: 517,
+			StaticPJ: 1.5e6, DynamicPJ: 2.25e5, TotalPJ: 1.725e6, AvgPktLatency: 14.125,
+		}}, `{"job":{"kind":"parsec","config":{"Width":8,"Height":8,"BufferDepth":6,"RouterStages":3,"VCsPerVNet":3,"EscapePerVNet":1,"VNets":3,"LinkLatency":1,"PacketSize":4,"EjectionQueues":4,"ClockHz":2000000000,"GatingOverheadPJ":17.7,"WakeupLatency":10,"IdleThreshold":8,"EscapeTimeout":64,"FLOVHopLatency":1,"TransitionTimeout":256,"RetryBackoff":32,"RPPhase1Base":700,"RPPhase1PerNode":2,"WarmupCycles":0,"TotalCycles":1099511627776,"DrainCycles":20000,"Seed":1,"TimelineBinSz":1000,"Mechanism":3},"pattern":"uniform","mechanism":"gFLOV","profile":{"Name":"dedup","GatedFraction":0.5,"MSHRs":6,"ThinkMean":500,"MCFraction":0.35,"ReqFlits":1,"RespFlits":5,"MCServiceLat":40,"PeerServiceLat":12,"QuotaPerCore":100,"Phases":4},"seed":1,"max_cycles":2000},"err":"sweep: benchmark dedup/gFLOV did not complete within 2000 cycles","res":{"Mechanism":"","Pattern":"","InjRate":0,"GatedPct":0,"AvgLatency":0,"AvgNetLatency":0,"Breakdown":{"Router":0,"Link":0,"Serialization":0,"FLOV":0,"Contention":0},"MaxLatency":0,"P99Latency":0,"AvgHops":0,"EscapeFrac":0,"StaticPowerW":0,"DynamicPowerW":0,"TotalPowerW":0,"StaticEnergyPJ":0,"DynamicEnergyPJ":0,"TotalEnergyPJ":0,"Packets":0,"Cycles":0,"RunCycles":0,"Undelivered":0,"ThroughputFpc":0,"Timeline":null,"GatedRouters":0,"PoweredRouters":0},"out":{"Benchmark":"dedup","Mechanism":"gFLOV","RuntimeCyc":2000,"Transactions":517,"StaticPJ":1500000,"DynamicPJ":225000,"TotalPJ":1725000,"AvgPktLatency":14.125,"Completed":false}}`},
+	} {
+		got, err := json.Marshal(c.row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s row:\n got %s\nwant %s", c.name, got, c.want)
+		}
 	}
 }
 
