@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flov"
-	"flov/internal/assert"
 	"flov/internal/config"
 	"flov/internal/fault"
 )
@@ -29,8 +28,8 @@ const (
 // more under link faults. The window starts past WarmupCycles because
 // Stats.Created counts only measured packets.
 func TestStepAllocBudget(t *testing.T) {
-	if raceDetectorOn || assert.On {
-		t.Skip("the race detector and the flovdebug invariant checks allocate on the kernel's behalf")
+	if raceDetectorOn {
+		t.Skip("the race detector allocates on the kernel's behalf")
 	}
 	type regime struct {
 		name        string

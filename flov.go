@@ -187,7 +187,7 @@ func (o SyntheticOptions) normalizedConfig() Config {
 // ready to Step.
 func Build(o SyntheticOptions) (*Network, error) {
 	cfg := o.normalizedConfig()
-	cfg.Mechanism = o.Mechanism
+	cfg.Mechanism = config.MechanismCode(o.Mechanism)
 	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
 	if err != nil {
 		return nil, err
@@ -276,7 +276,7 @@ func profileJob(prof Profile, m Mechanism, seed uint64, maxCycles int64) SweepJo
 	cfg := FullSystem()
 	cfg.WarmupCycles = 0
 	cfg.TotalCycles = 1 << 40
-	cfg.Mechanism = m
+	cfg.Mechanism = config.MechanismCode(m)
 	return SweepJob{
 		Kind:      SweepPARSEC,
 		Config:    cfg,
@@ -360,7 +360,7 @@ func SyntheticJob(o SyntheticOptions) (SweepJob, error) {
 		return SweepJob{}, fmt.Errorf("flov: schedules are not supported in sweep jobs; use Build")
 	}
 	cfg := o.normalizedConfig()
-	cfg.Mechanism = o.Mechanism
+	cfg.Mechanism = config.MechanismCode(o.Mechanism)
 	return SweepJob{
 		Kind:      SweepSynthetic,
 		Config:    cfg,

@@ -54,6 +54,28 @@ func ParseMechanism(s string) (Mechanism, error) {
 	return Baseline, fmt.Errorf("config: unknown mechanism %q", s)
 }
 
+// MarshalText spells the mechanism by name, so a field of this type
+// encodes as "gFLOV" rather than as its number.
+func (m Mechanism) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses any name ParseMechanism accepts.
+func (m *Mechanism) UnmarshalText(text []byte) error {
+	v, err := ParseMechanism(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
+// MechanismCode is a Mechanism as Config carries it. It has no text
+// form, so a Config encodes its mechanism as a number ("Mechanism":3),
+// the spelling every job hash and cache entry was keyed with.
+type MechanismCode int
+
+// String names the mechanism, so a printed Config reads "gFLOV", not 3.
+func (c MechanismCode) String() string { return Mechanism(c).String() }
+
 // Mechanisms lists all four in canonical figure order.
 func Mechanisms() []Mechanism { return []Mechanism{Baseline, RP, RFLOV, GFLOV} }
 
@@ -107,8 +129,8 @@ type Config struct {
 	Seed          uint64 // RNG seed; same seed => bit-identical run
 	TimelineBinSz int64  // bin width for latency-timeline stats (Fig. 10)
 
-	// Mechanism under test.
-	Mechanism Mechanism
+	// Mechanism under test, number-coded (see MechanismCode).
+	Mechanism MechanismCode
 }
 
 // Default returns the paper's Table I configuration: an 8x8 mesh with
@@ -142,7 +164,7 @@ func Default() Config {
 		DrainCycles:       20_000,
 		Seed:              1,
 		TimelineBinSz:     1_000,
-		Mechanism:         Baseline,
+		Mechanism:         MechanismCode(Baseline),
 	}
 }
 

@@ -89,7 +89,7 @@ func (o Options) job(pattern traffic.Pattern, rate, frac float64, mech config.Me
 // jobWithConfig builds a job around an explicit config (ablation sweeps
 // tweak individual knobs).
 func (o Options) jobWithConfig(cfg config.Config, pattern traffic.Pattern, rate, frac float64, mech config.Mechanism) sweep.Job {
-	cfg.Mechanism = mech
+	cfg.Mechanism = config.MechanismCode(mech)
 	return sweep.Job{
 		Kind:      sweep.Synthetic,
 		Config:    cfg,

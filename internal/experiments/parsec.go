@@ -48,7 +48,7 @@ func parsecJob(prof trace.Profile, mech config.Mechanism, o Options) sweep.Job {
 	cfg.WarmupCycles = 0
 	cfg.TotalCycles = 1 << 40
 	cfg.Seed = o.Seed + 1
-	cfg.Mechanism = mech
+	cfg.Mechanism = config.MechanismCode(mech)
 	return sweep.Job{
 		Kind:      sweep.PARSEC,
 		Config:    cfg,

@@ -115,26 +115,28 @@ func (n *Network) linkSteady(id int, d topology.Direction) bool {
 	return n.Mech.RouterOn(id)
 }
 
-// flitsPerVC tallies queued flits by their (downstream) VC index.
-func flitsPerVC(q *sim.Delay[*noc.Flit], vcs int) []int {
-	counts := make([]int, vcs)
-	if q != nil {
-		q.Each(func(f *noc.Flit) { counts[f.VC]++ })
+// tallyVCs counts the flits queued in flits and the credit signals
+// queued in credits (either may be nil) by VC index. The counts live in
+// one scratch buffer reused across calls, so they are only valid until
+// the next call.
+func (n *Network) tallyVCs(flits *sim.Delay[*noc.Flit], credits *sim.Delay[router.Signal], vcs int) (f, c []int) {
+	if cap(n.vcTally) < 2*vcs {
+		n.vcTally = make([]int, 2*vcs)
 	}
-	return counts
-}
-
-// creditsPerVC tallies queued credit signals by VC index.
-func creditsPerVC(q *sim.Delay[router.Signal], vcs int) []int {
-	counts := make([]int, vcs)
-	if q != nil {
-		q.Each(func(s router.Signal) {
+	t := n.vcTally[:2*vcs]
+	clear(t)
+	f, c = t[:vcs], t[vcs:]
+	if flits != nil {
+		flits.Each(func(fl *noc.Flit) { f[fl.VC]++ })
+	}
+	if credits != nil {
+		credits.Each(func(s router.Signal) {
 			if s.IsCredit {
-				counts[s.VC]++
+				c[s.VC]++
 			}
 		})
 	}
-	return counts
+	return f, c
 }
 
 // checkCreditConservation verifies, per VC on every steady link, that
@@ -157,8 +159,7 @@ func (n *Network) checkCreditConservation() {
 				continue
 			}
 			out := r.Out(d)
-			flits := flitsPerVC(r.Ports[d].OutFlit, vcs)
-			creds := creditsPerVC(r.Ports[d].InCtrl, vcs)
+			flits, creds := n.tallyVCs(r.Ports[d].OutFlit, r.Ports[d].InCtrl, vcs)
 			recv := n.Routers[nb]
 			for vc := 0; vc < vcs; vc++ {
 				sum := out.Credits[vc] + flits[vc] + recv.InVC(opp, vc).Len() + creds[vc]
@@ -175,8 +176,7 @@ func (n *Network) checkCreditConservation() {
 			continue
 		}
 		ni := n.NIs[id]
-		inj := flitsPerVC(r.Ports[topology.Local].InFlit, vcs)
-		injCreds := creditsPerVC(r.Ports[topology.Local].OutCtrl, vcs)
+		inj, injCreds := n.tallyVCs(r.Ports[topology.Local].InFlit, r.Ports[topology.Local].OutCtrl, vcs)
 		niOut := ni.OutState()
 		for vc := 0; vc < vcs; vc++ {
 			sum := niOut.Credits[vc] + inj[vc] + r.InVC(topology.Local, vc).Len() + injCreds[vc]
@@ -185,8 +185,7 @@ func (n *Network) checkCreditConservation() {
 					id, vc, niOut.Credits[vc], inj[vc], r.InVC(topology.Local, vc).Len(), injCreds[vc], sum, niOut.Depth(), n.now)
 			}
 		}
-		ej := flitsPerVC(r.Ports[topology.Local].OutFlit, vcs)
-		ejCreds := creditsPerVC(r.Ports[topology.Local].InCtrl, vcs)
+		ej, ejCreds := n.tallyVCs(r.Ports[topology.Local].OutFlit, r.Ports[topology.Local].InCtrl, vcs)
 		out := r.Out(topology.Local)
 		for vc := 0; vc < vcs; vc++ {
 			// The NI ejects instantly, so nothing is ever buffered on its

@@ -102,6 +102,8 @@ type Network struct {
 	// ejectedAtWarmup snapshots the flit counter at the measurement-
 	// window start so throughput excludes warmup traffic.
 	ejectedAtWarmup int64
+
+	vcTally []int //flovsnap:skip scratch for CheckInvariants' per-VC tallies
 }
 
 // New builds a network for cfg with the given mechanism, schedule and

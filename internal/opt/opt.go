@@ -310,7 +310,7 @@ func (sp space) job(spec Spec, g []int) sweep.Job {
 	cfg.Height = sp.heights[g[1]]
 	cfg.VCsPerVNet = sp.vcs[g[2]]
 	cfg.BufferDepth = sp.buffers[g[3]]
-	cfg.Mechanism = sp.mechs[g[4]]
+	cfg.Mechanism = config.MechanismCode(sp.mechs[g[4]])
 	cfg.WakeupLatency = sp.wakeups[g[5]]
 	if spec.Cycles > 0 {
 		cfg.TotalCycles = spec.Cycles
@@ -325,7 +325,7 @@ func (sp space) job(spec Spec, g []int) sweep.Job {
 		Pattern:   sp.patterns[g[8]],
 		Rate:      sp.rates[g[7]],
 		Frac:      sp.fracs[g[6]],
-		Mechanism: cfg.Mechanism,
+		Mechanism: config.Mechanism(cfg.Mechanism),
 		// Same derivation as flov.Build and sweep.Spec, so an optimizer
 		// candidate shares its cache identity with the equivalent
 		// flovsim/flovsweep point.

@@ -128,7 +128,7 @@ func (s Spec) Jobs() []sweep.Job {
 		for fi := range s.Faults {
 			for t := 0; t < s.Trials; t++ {
 				cfg := s.Config
-				cfg.Mechanism = mech
+				cfg.Mechanism = config.MechanismCode(mech)
 				cfg.Seed = s.SeedBase + uint64(t)
 				cfg.WarmupCycles = 0
 				fs := s.Faults[fi]

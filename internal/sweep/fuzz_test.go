@@ -3,9 +3,12 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"flov/internal/config"
+	"flov/internal/fault"
+	"flov/internal/traffic"
 )
 
 // FuzzDecodeEntry hardens the cache entry decoder, which also validates
@@ -116,6 +119,71 @@ func FuzzReadJobs(f *testing.F) {
 			if back.Hash() != j.Hash() {
 				t.Fatalf("job %d: round trip changed the hash:\n%s", i, data)
 			}
+		}
+	})
+}
+
+// FuzzJobJSON hardens the job decoder every stream row, cache entry,
+// cluster event and optimizer archive goes through. Seeded from real
+// synthetic, hotspot-with-faults and PARSEC jobs and from the edge
+// spellings TestJobJSONDecoding pins: decoding arbitrary bytes into a
+// Job must never panic, and a job it accepts must encode to bytes that
+// decode back to the same encoding and the same Hash.
+//
+//	go test -run '^$' -fuzz '^FuzzJobJSON$' -fuzztime 30s ./internal/sweep/
+func FuzzJobJSON(f *testing.F) {
+	rich := quickJob(config.GFLOV, 0.05, 0.25)
+	rich.Pattern = traffic.Hotspot
+	rich.Protect = []int{0, 3}
+	rich.Hotspots = []int{5, 10}
+	rich.Faults = &fault.Spec{Seed: 3, LinkRate: 1e-4, Schedule: []fault.Event{{At: 100, Kind: "link", Node: 5, Dir: "E"}}}
+	parsec, err := (Spec{Benchmarks: []string{"dedup"}, Mechanisms: []string{"rp"}, MaxCycles: 5_000}).Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, err := json.Marshal(quickJob(config.GFLOV, 0.02, 0.5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, j := range []Job{rich, parsec[0]} {
+		data, err := json.Marshal(j)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(plain)
+	for _, edit := range [][2]string{
+		{`"kind":"synthetic"`, `"kind":"bogus"`},
+		{`"pattern":"uniform"`, `"pattern":"bogus"`},
+		{`"mechanism":"gFLOV"`, `"mechanism":"bogus"`},
+		{`"pattern":"uniform"`, `"pattern":""`},
+		{`"mechanism":"gFLOV"`, `"mechanism":3`},
+		{`"kind":"synthetic",`, ``},
+		{`,"mechanism":"gFLOV"`, ``},
+	} {
+		f.Add([]byte(strings.Replace(string(plain), edit[0], edit[1], 1)))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var j Job
+		if json.Unmarshal(data, &j) != nil {
+			return
+		}
+		enc, err := json.Marshal(j)
+		if err != nil {
+			t.Fatalf("marshal of an accepted job: %v", err)
+		}
+		var back Job
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("re-encoded job rejected: %v\n%s", err, enc)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) || back.Hash() != j.Hash() {
+			t.Fatalf("round trip changed the job:\n%s\n%s", enc, again)
 		}
 	})
 }

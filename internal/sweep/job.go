@@ -55,15 +55,20 @@ func (k Kind) String() string {
 	}
 }
 
-// parseKind is the inverse of Kind.String.
-func parseKind(s string) (Kind, error) {
-	switch s {
+// MarshalText spells the kind by name, as String does.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText.
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "synthetic":
-		return Synthetic, nil
+		*k = Synthetic
 	case "parsec":
-		return PARSEC, nil
+		*k = PARSEC
+	default:
+		return fmt.Errorf("sweep: unknown job kind %q", text)
 	}
-	return Synthetic, fmt.Errorf("sweep: unknown job kind %q", s)
+	return nil
 }
 
 // Job fully describes one simulation point. Two jobs with equal fields
@@ -71,118 +76,45 @@ func parseKind(s string) (Kind, error) {
 // is what makes the on-disk cache sound: the canonical Hash of a Job is
 // the cache key.
 //
+// A Job encodes with plain encoding/json: the field tags name the wire
+// keys, and the kind, pattern and mechanism marshal as the names the
+// CLIs accept (their text methods), so specs and cached results stay
+// readable and stable across enum renumbering. A missing or null kind,
+// pattern or mechanism decodes as the zero value (Synthetic, Uniform,
+// Baseline), like every other omitted field; an unknown name is an
+// error.
+//
 // Schedules (time-varying gating masks) are intentionally not part of a
 // Job — points that need one (Fig. 10, churn ablations) run outside the
 // engine via flov.Build.
 type Job struct {
 	// Kind selects synthetic vs PARSEC; the zero value is Synthetic.
-	Kind Kind
+	Kind Kind `json:"kind"`
 
 	// Config is the full testbed configuration for the point.
-	Config config.Config
+	Config config.Config `json:"config"`
 
-	// Synthetic workload point.
-	Pattern  traffic.Pattern
-	Rate     float64 // offered load (flits/cycle/node)
-	Frac     float64 // fraction of cores power-gated
-	MaskSeed uint64  // seed for the random gated-set draw
-	Protect  []int   // node ids never gated
-	Hotspots []int   // hotspot destinations (Hotspot pattern only)
+	// Synthetic workload point. The pattern is written even when it is
+	// Uniform, so it has no omitempty.
+	Pattern  traffic.Pattern `json:"pattern"`
+	Rate     float64         `json:"rate,omitempty"`       // offered load (flits/cycle/node)
+	Frac     float64         `json:"gated_frac,omitempty"` // fraction of cores power-gated
+	MaskSeed uint64          `json:"mask_seed,omitempty"`  // seed for the random gated-set draw
+	Protect  []int           `json:"protect,omitempty"`    // node ids never gated
+	Hotspots []int           `json:"hotspots,omitempty"`   // hotspot destinations (Hotspot pattern only)
 
 	// Mechanism under test (both kinds).
-	Mechanism config.Mechanism
+	Mechanism config.Mechanism `json:"mechanism"`
 
 	// Faults optionally attaches the fault-injection subsystem to a
 	// synthetic run (reliability harness points). PARSEC jobs reject it
 	// with an error row, on every run path.
-	Faults *fault.Spec
+	Faults *fault.Spec `json:"faults,omitempty"`
 
 	// PARSEC workload point.
-	Profile   trace.Profile // benchmark profile (zero Name when synthetic)
-	Seed      uint64        // driver seed for the closed-loop workload
-	MaxCycles int64         // run bound for the closed-loop driver
-}
-
-// jobJSON is the wire form of a Job: enum fields are spelled out as the
-// names the CLIs accept, so specs and cached results stay readable and
-// stable across enum renumbering.
-type jobJSON struct {
-	Kind      string        `json:"kind"`
-	Config    config.Config `json:"config"`
-	Pattern   string        `json:"pattern,omitempty"`
-	Rate      float64       `json:"rate,omitempty"`
-	Frac      float64       `json:"gated_frac,omitempty"`
-	MaskSeed  uint64        `json:"mask_seed,omitempty"`
-	Protect   []int         `json:"protect,omitempty"`
-	Hotspots  []int         `json:"hotspots,omitempty"`
-	Mechanism string        `json:"mechanism"`
-	Faults    *fault.Spec   `json:"faults,omitempty"`
-	Profile   trace.Profile `json:"profile,omitempty"`
-	Seed      uint64        `json:"seed,omitempty"`
-	MaxCycles int64         `json:"max_cycles,omitempty"`
-}
-
-// wire is the job's wire form. MarshalJSON and the hash preimage both
-// encode it, so a spec, a cached row and a cache key spell a job alike.
-func (j Job) wire() jobJSON {
-	return jobJSON{
-		Kind:      j.Kind.String(),
-		Config:    j.Config,
-		Pattern:   j.Pattern.String(),
-		Rate:      j.Rate,
-		Frac:      j.Frac,
-		MaskSeed:  j.MaskSeed,
-		Protect:   j.Protect,
-		Hotspots:  j.Hotspots,
-		Mechanism: j.Mechanism.String(),
-		Faults:    j.Faults,
-		Profile:   j.Profile,
-		Seed:      j.Seed,
-		MaxCycles: j.MaxCycles,
-	}
-}
-
-// MarshalJSON renders the job with symbolic kind/pattern/mechanism names.
-func (j Job) MarshalJSON() ([]byte, error) {
-	return json.Marshal(j.wire())
-}
-
-// UnmarshalJSON parses the symbolic wire form back into a Job.
-func (j *Job) UnmarshalJSON(data []byte) error {
-	var w jobJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	kind, err := parseKind(w.Kind)
-	if err != nil {
-		return err
-	}
-	mech, err := config.ParseMechanism(w.Mechanism)
-	if err != nil {
-		return err
-	}
-	pat := traffic.Uniform
-	if w.Pattern != "" {
-		if pat, err = traffic.ParsePattern(w.Pattern); err != nil {
-			return err
-		}
-	}
-	*j = Job{
-		Kind:      kind,
-		Config:    w.Config,
-		Pattern:   pat,
-		Rate:      w.Rate,
-		Frac:      w.Frac,
-		MaskSeed:  w.MaskSeed,
-		Protect:   w.Protect,
-		Hotspots:  w.Hotspots,
-		Mechanism: mech,
-		Faults:    w.Faults,
-		Profile:   w.Profile,
-		Seed:      w.Seed,
-		MaxCycles: w.MaxCycles,
-	}
-	return nil
+	Profile   trace.Profile `json:"profile"`              // benchmark profile (zero Name when synthetic)
+	Seed      uint64        `json:"seed,omitempty"`       // driver seed for the closed-loop workload
+	MaxCycles int64         `json:"max_cycles,omitempty"` // run bound for the closed-loop driver
 }
 
 // SchemaVersion is folded into every job hash; bump it whenever the
@@ -203,13 +135,11 @@ var snapSchemaVersion = snapshot.SchemaVersion
 // knob that invalidates rows.
 const versionToken = "(devel)"
 
-// canonical is the job's canonical encoding, the preimage of Hash: the
-// same bytes as json.Marshal(j), without the second pass encoding/json
-// makes over a Marshaler's output to validate and compact it (field
-// order is fixed by the wire struct and floats render shortest-form, so
-// the encoding is deterministic).
+// canonical is the job's canonical encoding, the preimage of Hash: its
+// JSON form, which is deterministic (field order is fixed by the struct
+// and floats render shortest-form).
 func (j Job) canonical() []byte {
-	enc, err := json.Marshal(j.wire())
+	enc, err := json.Marshal(j)
 	if err != nil {
 		// Job is plain data; Marshal cannot fail on it. Guard anyway so a
 		// future field type mistake surfaces as distinct hashes, not

@@ -23,7 +23,7 @@ func quickJob(mech config.Mechanism, rate, frac float64) Job {
 	cfg.Width, cfg.Height = 4, 4
 	cfg.WarmupCycles, cfg.TotalCycles = 500, 4_000
 	cfg.Seed = 7
-	cfg.Mechanism = mech
+	cfg.Mechanism = config.MechanismCode(mech)
 	return Job{
 		Kind:      Synthetic,
 		Config:    cfg,
@@ -119,8 +119,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 
 // TestJobCanonicalIsMarshal: the hash preimage is exactly the bytes
 // json.Marshal renders for the job, for every field shape a job can
-// carry, so hashing without the Marshaler pass orphans no cache entry
-// written by a build that hashed json.Marshal(j).
+// carry, behind the version prefix.
 func TestJobCanonicalIsMarshal(t *testing.T) {
 	prefix := SchemaVersion + "|" + snapSchemaVersion + "|" + versionToken + "|"
 	rich := quickJob(config.GFLOV, 0.05, 0.25)
@@ -262,6 +261,57 @@ func TestJobJSONSymbolicNames(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("job JSON missing %s:\n%s", want, data)
 		}
+	}
+}
+
+// TestJobJSONDecoding pins how a job's enum fields decode: names in
+// any case, the empty pattern as Uniform, and a missing or null kind,
+// pattern or mechanism as the zero value, like every other omitted
+// field. Unknown names and numbers are errors. A cache entry whose job
+// lost its mechanism key now names a different (Baseline) point, so
+// DecodeEntry's re-hash still refuses it.
+func TestJobJSONDecoding(t *testing.T) {
+	for body, want := range map[string]Job{
+		`{}`: {},
+		`{"kind":null,"pattern":null,"mechanism":null}`:        {},
+		`{"kind":"parsec","pattern":"","mechanism":"GFLOV"}`:   {Kind: PARSEC, Mechanism: config.GFLOV},
+		`{"kind":"synthetic","pattern":"UR","mechanism":"rp"}`: {Pattern: traffic.Uniform, Mechanism: config.RP},
+		`{"pattern":"bitcomp","mechanism":"restricted"}`:       {Pattern: traffic.BitComplement, Mechanism: config.RFLOV},
+	} {
+		var got Job
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		if got.Hash() != want.Hash() {
+			t.Errorf("%s decoded as %+v, want %+v", body, got, want)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"bogus"}`, `{"kind":1}`, `{"kind":"Synthetic"}`,
+		`{"pattern":"bogus"}`, `{"pattern":2}`,
+		`{"mechanism":"bogus"}`, `{"mechanism":3}`, `{"mechanism":true}`,
+	} {
+		var j Job
+		if err := json.Unmarshal([]byte(body), &j); err == nil {
+			t.Errorf("%s decoded without error: %+v", body, j)
+		}
+	}
+
+	j := quickJob(config.GFLOV, 0.02, 0.5)
+	data, err := json.Marshal(entry{Hash: j.Hash(), Result: Result{Job: j}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := DecodeEntry(j.Hash(), data); !ok {
+		t.Fatal("intact entry refused")
+	}
+	stripped := strings.Replace(string(data), `,"mechanism":"gFLOV"`, "", 1)
+	if stripped == string(data) {
+		t.Fatal("entry carries no mechanism key")
+	}
+	if _, ok := DecodeEntry(j.Hash(), []byte(stripped)); ok {
+		t.Fatal("entry whose job lost its mechanism was served")
 	}
 }
 

@@ -232,7 +232,7 @@ func (s Spec) syntheticJobs(mechs []config.Mechanism) ([]Job, error) {
 			for _, frac := range fracs {
 				for _, m := range mechs {
 					cfg := s.baseConfig(config.Default())
-					cfg.Mechanism = m
+					cfg.Mechanism = config.MechanismCode(m)
 					jobs = append(jobs, Job{
 						Kind:      Synthetic,
 						Config:    cfg,
@@ -270,7 +270,7 @@ func (s Spec) parsecJobs(mechs []config.Mechanism) ([]Job, error) {
 			cfg := s.baseConfig(config.FullSystem())
 			cfg.WarmupCycles = 0
 			cfg.TotalCycles = 1 << 40
-			cfg.Mechanism = m
+			cfg.Mechanism = config.MechanismCode(m)
 			jobs = append(jobs, Job{
 				Kind:      PARSEC,
 				Config:    cfg,

@@ -74,6 +74,24 @@ func ParsePattern(s string) (Pattern, error) {
 	return Uniform, fmt.Errorf("traffic: unknown pattern %q", s)
 }
 
+// MarshalText spells the pattern by name, as String does.
+func (p Pattern) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses any name ParsePattern accepts; the empty name
+// is Uniform, the default pattern.
+func (p *Pattern) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*p = Uniform
+		return nil
+	}
+	v, err := ParsePattern(string(text))
+	if err != nil {
+		return err
+	}
+	*p = v
+	return nil
+}
+
 // Generator draws destinations for one pattern over a mesh, restricted to
 // the currently active cores.
 type Generator struct {
