@@ -56,7 +56,7 @@ func main() {
 	runners := flag.Int("runners", 1, "concurrently executing jobs")
 	workers := flag.Int("workers", 0, "engine worker goroutines per job (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 15*time.Minute, "per-job execution ceiling (0 = none)")
-	jobSlice := flag.Duration("job-slice", 0, "preemption time slice: jobs running longer checkpoint and requeue (0 = run to completion)")
+	jobSlice := flag.Duration("job-slice", 0, "preemption time slice (worker mode): jobs running longer checkpoint to -store and release their lease (0 = run to completion)")
 	retain := flag.Int("retain", 64, "finished jobs kept queryable")
 	cacheDir := flag.String("cache-dir", "", "result cache directory (default $FLOV_SWEEP_CACHE or the user cache dir)")
 	noCache := flag.Bool("no-cache", false, "disable the shared result cache")
@@ -81,6 +81,9 @@ func main() {
 	}
 	if (*workerMode || *frontendMode) && *storeDir == "" {
 		fatal(errors.New("-worker/-frontend require -store"))
+	}
+	if *jobSlice != 0 && !*workerMode {
+		fatal(errors.New("-job-slice requires -worker: only cluster workers preempt jobs"))
 	}
 
 	cache, err := sweep.OpenCache(*cacheDir, *noCache)
@@ -115,7 +118,6 @@ func main() {
 		Runners:     *runners,
 		Workers:     *workers,
 		JobTimeout:  *jobTimeout,
-		JobSlice:    *jobSlice,
 		RetainJobs:  *retain,
 		Cache:       cache,
 		EnablePprof: *enablePprof,
@@ -184,9 +186,9 @@ type workerConfig struct {
 }
 
 // runWorker executes leased jobs from the shared store until SIGTERM.
-// Shutdown is graceful by lease release: in-flight slices checkpoint
-// (when -job-slice is set) and the lease expires immediately, so
-// surviving workers continue without waiting out the TTL.
+// Shutdown is graceful by lease release: in-flight points checkpoint to
+// the store and the lease expires immediately, so surviving workers
+// continue from those checkpoints without waiting out the TTL.
 func runWorker(cfg workerConfig) {
 	store, err := cluster.Open(cfg.storeDir)
 	if err != nil {

@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"testing"
@@ -121,6 +124,83 @@ func FuzzReadLease(f *testing.F) {
 		var own leaseWire
 		if json.Unmarshal(data, &own) != nil || own != got || own.Job != id || own.Epoch != epoch {
 			t.Fatalf("readLease = %+v, want this job's own lease or the expired fallback", got)
+		}
+	})
+}
+
+// FuzzFrontDoorSubmit hardens front-door admission. Arbitrary body
+// bytes, timeout_ms values and X-Flov-Tenant headers are posted to
+// POST /v1/sweeps on a fresh store, with quota and rate high enough
+// that every parsable spec reaches the store. The handler must never
+// panic and must answer only 202, 400 or 429; on 202 the store must
+// read back a job record whose points hash to its SpecHash, and the
+// same request again must return the same ID marked deduped. Seeded
+// from a valid spec with and without a tenant and a timeout, invalid
+// and overflowing timeouts, a sparse spec that leans on defaults, a
+// truncated spec and JSON that is not a spec.
+//
+//	go test -run '^$' -fuzz '^FuzzFrontDoorSubmit$' -fuzztime 30s ./internal/cluster/
+func FuzzFrontDoorSubmit(f *testing.F) {
+	spec, err := json.Marshal(testSpec(0.1, 0.2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spec, "", "")
+	f.Add(spec, "1500", "acme")
+	f.Add(spec, "0", "  ")
+	f.Add(spec, "-1", "acme")
+	f.Add(spec, "soon", "acme")
+	f.Add(spec, "99999999999999999999", "acme")
+	f.Add(spec, "9223372036854775807", "acme")
+	f.Add([]byte(`{"patterns":["uniform"],"rates":[],"mechanisms":["baseline"]}`), "", "acme")
+	f.Add(spec[:len(spec)/2], "", "acme")
+	f.Add([]byte(`[1,2]`), "", "")
+
+	cfg := FrontDoorConfig{MaxActivePerTenant: 1 << 30, RatePerMinute: 1 << 30, Burst: 1 << 30}
+	f.Fuzz(func(t *testing.T, body []byte, timeoutMS, tenant string) {
+		store, err := Open(filepath.Join(t.TempDir(), "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewFrontDoor(store, cfg).Handler()
+		target := "/v1/sweeps"
+		if timeoutMS != "" {
+			target += "?" + url.Values{"timeout_ms": {timeoutMS}}.Encode()
+		}
+		submit := func() (int, service.JobStatus) {
+			req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
+			req.Header.Set("X-Flov-Tenant", tenant)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var st service.JobStatus
+			if rec.Code == http.StatusAccepted {
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Fatalf("202 body %q: %v", rec.Body.Bytes(), err)
+				}
+			}
+			return rec.Code, st
+		}
+
+		code, st := submit()
+		switch code {
+		case http.StatusAccepted:
+		case http.StatusBadRequest, http.StatusTooManyRequests:
+			return
+		default:
+			t.Fatalf("status %d, want 202, 400 or 429", code)
+		}
+		rec, err := store.Job(st.ID)
+		if err != nil {
+			t.Fatalf("accepted job %q: %v", st.ID, err)
+		}
+		if rec.ID != st.ID || sweep.PointsHash(rec.Points) != rec.SpecHash {
+			t.Fatalf("stored record %q (spec hash %s) does not match its points or the answered id %q",
+				rec.ID, rec.SpecHash, st.ID)
+		}
+		again, st2 := submit()
+		if again != http.StatusAccepted || st2.ID != st.ID || !st2.Deduped {
+			t.Fatalf("resubmit: status %d, id %q, deduped %v; want 202, %q, true",
+				again, st2.ID, st2.Deduped, st.ID)
 		}
 	})
 }

@@ -36,7 +36,9 @@ type Worker struct {
 	// Slice, when positive, preempts jobs that run longer: in-flight
 	// points checkpoint to the store and the lease is released, so any
 	// worker (this one included) can continue the job. 0 runs each
-	// claimed job to completion under lease renewal.
+	// claimed job to completion under lease renewal. Either way a lost
+	// lease, the job's deadline or shutdown stops the engine at its next
+	// poll.
 	Slice time.Duration
 	// Workers is the engine pool size per job (<= 0 means GOMAXPROCS).
 	Workers int
@@ -76,10 +78,14 @@ func (w *Worker) poll() time.Duration {
 }
 
 // startSlice starts the clock of one execution slice. It returns the
-// slice's expiry poll and a func that stops the clock.
+// slice's expiry poll and a func that stops the clock. Without a Slice
+// the poll never reports expiry.
 func (w *Worker) startSlice() (expired func() bool, stop func()) {
 	if w.slice != nil {
 		return w.slice(), func() {}
+	}
+	if w.Slice <= 0 {
+		return func() bool { return false }, func() {}
 	}
 	var over atomic.Bool
 	timer := time.AfterFunc(w.Slice, func() { over.Store(true) })
@@ -92,9 +98,9 @@ func (w *Worker) Counters() (claimed, stolen, finished, preempted int64) {
 }
 
 // Run scans and executes until ctx is canceled. Claimed work is
-// released (not abandoned) on shutdown: in-flight points checkpoint
-// where slicing permits, and the lease expires immediately so another
-// worker continues without waiting out the TTL.
+// released (not abandoned) on shutdown: in-flight points checkpoint to
+// the store, and the lease expires immediately so another worker
+// continues without waiting out the TTL.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		worked, err := w.Step(ctx)
@@ -320,12 +326,14 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		}
 	}()
 
-	if w.Slice > 0 {
-		expired, stop := w.startSlice()
-		defer stop()
-		engine.Pause = func() bool {
-			return expired() || lost.Load() || dctx.Err() != nil
-		}
+	// One stop rule, sliced or not: a slice expiry, a lost lease, the
+	// deadline or shutdown pauses the engine at its next poll, so points
+	// in flight stop simulating; the outcome below decides whether their
+	// checkpoints are kept.
+	expired, stop := w.startSlice()
+	defer stop()
+	engine.Pause = func() bool {
+		return expired() || lost.Load() || dctx.Err() != nil
 	}
 	results := engine.Run(dctx, pending)
 	stopRenew()

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"io/fs"
 	"path/filepath"
 	"sync/atomic"
@@ -15,6 +17,8 @@ import (
 // TestWorkerPreemptAndResume runs a job under aggressive slicing: every
 // slice preempts, checkpoints land in the store, the lease is released
 // at each boundary, and the final rows still match the single-node run.
+// Across all slices the feed carries exactly one point line per point,
+// at its original index.
 func TestWorkerPreemptAndResume(t *testing.T) {
 	points := mustPoints(t, longSpec(0.05, 0.1))
 	ref := referenceBytes(t, points)
@@ -42,6 +46,42 @@ func TestWorkerPreemptAndResume(t *testing.T) {
 	if !bytes.Equal(got, ref) {
 		t.Error("sliced execution produced different bytes than single-node run")
 	}
+
+	seen := make(map[int]int)
+	for _, ev := range feedPoints(t, store, rec.ID) {
+		if ev.Index < 0 || ev.Index >= len(points) {
+			t.Fatalf("point line at index %d outside %d points", ev.Index, len(points))
+		}
+		if ev.Result == nil || ev.Result.Job.Hash() != points[ev.Index].Hash() {
+			t.Fatalf("point line at index %d does not carry that point's row", ev.Index)
+		}
+		seen[ev.Index]++
+	}
+	for i := range points {
+		if seen[i] != 1 {
+			t.Fatalf("point %d has %d point lines on the feed, want exactly 1 (seen %v)", i, seen[i], seen)
+		}
+	}
+}
+
+// feedPoints returns the point lines of a job's event feed.
+func feedPoints(t *testing.T, s *Store, id string) []service.StreamEvent {
+	t.Helper()
+	lines, err := s.Events(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []service.StreamEvent
+	for _, line := range lines {
+		var ev service.StreamEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad feed line %q: %v", line, err)
+		}
+		if ev.Type == service.EventPoint {
+			points = append(points, ev)
+		}
+	}
+	return points
 }
 
 // TestWorkerCacheHoldsOnlyRows: a worker without job slicing finishes a
@@ -146,6 +186,49 @@ func TestDeadlineIsAbsoluteAcrossRequeue(t *testing.T) {
 	}
 	if !bytes.Contains(got, []byte("context canceled")) {
 		t.Error("canceled rows should carry the canceled error, like the single-node daemon")
+	}
+}
+
+// TestWorkerStopsOnLostLease: a worker without slicing whose lease is
+// superseded mid-point stops simulating at the engine's next poll
+// instead of running the point to completion, so its epoch writes no
+// point line. The point runs millions of cycles, seconds even on a fast
+// kernel, against a lease whose loss the renewer notices within 20ms; a
+// slower kernel only widens that margin.
+func TestWorkerStopsOnLostLease(t *testing.T) {
+	spec := testSpec(0.1)
+	spec.Cycles = 3_000_000
+	store := openStore(t)
+	rec := submitJob(t, store, mustPoints(t, spec))
+	w := &Worker{Store: store, Name: "holder", LeaseTTL: 60 * time.Millisecond, Workers: 1}
+
+	// A thief takes epoch 2 as soon as the worker holds epoch 1.
+	planted := make(chan error, 1)
+	go func() {
+		for give := time.Now().Add(10 * time.Second); time.Now().Before(give); {
+			if li, ok := store.CurrentLease(rec.ID); ok && li.Epoch == 1 {
+				data, err := json.Marshal(leaseWire{Job: rec.ID, Epoch: 2, Worker: "thief",
+					ExpiresMS: time.Now().Add(time.Hour).UnixMilli()})
+				if err == nil {
+					_, err = publish(store.leasePath(rec.ID, 2), data)
+				}
+				planted <- err
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		planted <- errors.New("worker never claimed epoch 1")
+	}()
+	if _, err := w.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-planted; err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range feedPoints(t, store, rec.ID) {
+		if ev.Epoch == 1 && ev.Index == 0 {
+			t.Fatal("epoch 1 ran its point to completion after losing the lease")
+		}
 	}
 }
 

@@ -19,13 +19,10 @@ type metrics struct {
 	jobsCompleted atomic.Int64
 	jobsFailed    atomic.Int64 // completed with >= 1 error-carrying point
 	jobsCanceled  atomic.Int64
-	jobsPreempted atomic.Int64 // slice expiries that requeued a job
-	jobsResumed   atomic.Int64 // preempted jobs picked back up
 
-	pointsDone        atomic.Int64
-	pointsCached      atomic.Int64
-	pointsFailed      atomic.Int64
-	pointsSnapshotted atomic.Int64 // mid-run checkpoints taken for preemption
+	pointsDone   atomic.Int64
+	pointsCached atomic.Int64
+	pointsFailed atomic.Int64
 
 	// Fault-scenario observability (points whose job carries a fault spec).
 	faultsInjected atomic.Int64 // faults injected across finished points
@@ -53,12 +50,9 @@ func (m *metrics) render(b *strings.Builder, queueDepth, running int, draining b
 	counter("flovd_jobs_completed_total", "jobs run to completion", m.jobsCompleted.Load())
 	counter("flovd_jobs_failed_total", "completed jobs with at least one failed point", m.jobsFailed.Load())
 	counter("flovd_jobs_canceled_total", "jobs canceled before completion", m.jobsCanceled.Load())
-	counter("flovd_jobs_preempted_total", "jobs checkpointed and requeued at a slice boundary", m.jobsPreempted.Load())
-	counter("flovd_jobs_resumed_total", "preempted jobs resumed from their checkpoints", m.jobsResumed.Load())
 	counter("flovd_points_done_total", "points simulated to completion", m.pointsDone.Load())
 	counter("flovd_points_cached_total", "points served from the result cache", m.pointsCached.Load())
 	counter("flovd_points_failed_total", "points that errored or panicked", m.pointsFailed.Load())
-	counter("flovd_points_snapshotted_total", "mid-run point checkpoints taken for preemption", m.pointsSnapshotted.Load())
 	counter("flovd_faults_injected_total", "faults injected across finished fault-scenario points", m.faultsInjected.Load())
 	counter("flovd_packets_dropped_total", "packets classified as lost across finished points", m.packetsDropped.Load())
 	counter("flovd_trials_violated_total", "fault-scenario points that tripped a correctness oracle", m.trialsViolated.Load())

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flov/internal/nlog"
@@ -38,38 +37,28 @@ type Config struct {
 	// Workers is the sweep.Engine pool size per job (<= 0 means
 	// GOMAXPROCS).
 	Workers int
-	// JobTimeout bounds one job's wall-clock lifetime from admission;
-	// 0 means no limit. The deadline is absolute — preemption and
-	// requeueing do not restart it — and on expiry the engine's context
-	// path cancels unstarted points and the job reports canceled.
+	// JobTimeout bounds one job's wall-clock lifetime from admission,
+	// time spent queued included; 0 means no limit. On expiry the
+	// engine's context path cancels unstarted points and the job reports
+	// canceled. A job runs to completion once started: time-slicing and
+	// resumption belong to the cluster worker (internal/cluster).
 	JobTimeout time.Duration
-	// JobSlice, when positive, makes execution preemptible: a job that
-	// runs longer than one slice is checkpointed (points in flight
-	// snapshot their simulation state), requeued behind waiting jobs,
-	// and later resumed exactly where it stopped. Long sweeps stop
-	// monopolizing the runner pool while short jobs wait. 0 disables
-	// time-slicing.
-	JobSlice time.Duration
 	// RetainJobs is how many finished jobs stay queryable (status,
 	// results, stream replay) before eviction, oldest first. Default 64.
 	RetainJobs int
 	// Cache, when non-nil, is the shared content-addressed result
 	// store; resubmitted specs are answered from it without simulation.
 	Cache *sweep.Cache
-	// EventLog capacity for the /debug/events ring. Default 512.
-	EventLogSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 
 	// runPoint substitutes the per-point runner (tests block points on
 	// demand to observe streaming and cancellation mid-flight).
 	runPoint func(sweep.Job) sweep.Result
-	// slice substitutes the JobSlice timer: it starts one slice and
-	// returns the poll the engine makes between simulation quanta, true
-	// once the slice is over. Tests end slices after a set number of
-	// polls, so preemption does not hang on how fast the kernel runs.
-	slice func() (expired func() bool)
 }
+
+// eventLogSize is the capacity of the /debug/events ring.
+const eventLogSize = 512
 
 // Submission errors mapped to HTTP statuses by the handlers.
 var (
@@ -93,9 +82,7 @@ type job struct {
 	cancel context.CancelFunc
 
 	// deadline is the job's absolute completion deadline (zero = none),
-	// fixed once at admission. Absolute, not a per-slice duration: a
-	// preempted job that requeues must not have its clock restarted, or
-	// a JobTimeout shorter than the sum of slices would never fire.
+	// fixed once at admission, so time spent queued counts against it.
 	deadline time.Time
 
 	mu        sync.Mutex
@@ -109,15 +96,6 @@ type job struct {
 	cacheHits int
 	errors    int
 	failure   string // job-level failure note (timeout, drain)
-
-	// Preemption bookkeeping: finished rows accumulate across slices
-	// (index-aligned with points), snapshots hold the checkpoints of
-	// points paused mid-simulation, elapsed sums per-slice wall time.
-	finished  []sweep.Result
-	havePoint []bool
-	snapshots [][]byte
-	elapsed   time.Duration
-	resumes   int
 
 	doneCh chan struct{} // closed when the job reaches a terminal state
 }
@@ -134,7 +112,6 @@ func (j *job) status() JobStatus {
 		CacheHits: j.cacheHits,
 		Errors:    j.errors,
 		Err:       j.failure,
-		Resumes:   j.resumes,
 	}
 	if j.state == StateDone || j.state == StateCanceled {
 		st.WallMS = float64(j.stats.Wall) / float64(time.Millisecond)
@@ -178,9 +155,6 @@ func New(cfg Config) *Server {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 64
 	}
-	if cfg.EventLogSize <= 0 {
-		cfg.EventLogSize = 512
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -188,7 +162,7 @@ func New(cfg Config) *Server {
 		baseCancel: cancel,
 		inflight:   make(map[string]*job),
 		jobs:       make(map[string]*job),
-		events:     nlog.NewShared(cfg.EventLogSize),
+		events:     nlog.NewShared(eventLogSize),
 		start:      time.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -252,9 +226,6 @@ func (s *Server) submit(points []sweep.Job, owned bool) (j *job, deduped bool, e
 		owned:     owned,
 		refs:      refs,
 		submitted: time.Now(),
-		finished:  make([]sweep.Result, len(points)),
-		havePoint: make([]bool, len(points)),
-		snapshots: make([][]byte, len(points)),
 		doneCh:    make(chan struct{}),
 	}
 	if s.cfg.JobTimeout > 0 {
@@ -329,11 +300,8 @@ func (s *Server) runner() {
 	}
 }
 
-// execute runs one slice of a job through the engine. Without a
-// JobSlice the slice is the whole job. With one, a slice that expires
-// preempts the engine: in-flight points checkpoint their simulation
-// state, and the job requeues behind waiting work to resume later; only
-// when every point has a durable row does the job finalize.
+// execute runs a job through the engine to completion, or until its
+// deadline or a cancellation stops it, then finalizes it.
 func (s *Server) execute(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while queued, popped anyway
@@ -341,110 +309,27 @@ func (s *Server) execute(j *job) {
 		return
 	}
 	j.state = StateRunning
-	resumed := j.resumes > 0
-	// Pending points: those without a durable result from earlier slices.
-	var idx []int
-	for i := range j.points {
-		if !j.havePoint[i] {
-			idx = append(idx, i)
-		}
-	}
-	pts := make([]sweep.Job, len(idx))
-	hashes := make([]string, len(idx))
-	snaps := make([][]byte, len(idx))
-	for k, i := range idx {
-		pts[k] = j.points[i]
-		hashes[k] = j.hashes[i]
-		snaps[k] = j.snapshots[i]
-	}
 	j.mu.Unlock()
-
-	if resumed {
-		j.feed.append(StreamEvent{Type: EventResumed, ID: j.id, Total: len(j.points), Remaining: len(idx)})
-		s.metrics.jobsResumed.Add(1)
-		s.log("resume %s (%d of %d points remaining)", j.id, len(idx), len(j.points))
-	} else {
-		s.log("start %s (%d points)", j.id, len(j.points))
-	}
+	s.log("start %s (%d points)", j.id, len(j.points))
 
 	ctx := j.ctx
 	cancel := func() {}
 	if !j.deadline.IsZero() {
-		// The absolute admission-time deadline, not a fresh JobTimeout:
-		// every slice of a preempted job runs against the same clock.
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 	}
 	engine := &sweep.Engine{
 		Workers:  s.cfg.Workers,
 		Cache:    s.cfg.Cache,
-		Progress: remapFan{fan: progressFan{s: s, j: j}, idx: idx, total: len(j.points)},
+		Progress: progressFan{s: s, j: j},
 		RunJob:   s.cfg.runPoint,
-		Hashes:   hashes,
-	}
-	if s.cfg.JobSlice > 0 {
-		expired, stop := s.startSlice()
-		defer stop()
-		engine.Pause = expired
-		engine.Snapshots = snaps
+		Hashes:   j.hashes,
 	}
 	start := time.Now()
-	results := engine.Run(ctx, pts)
-	wall := time.Since(start)
+	results := engine.Run(ctx, j.points)
+	st := sweep.Summarize(results, time.Since(start))
 	timedOut := ctx.Err() != nil && j.ctx.Err() == nil
 	cancel()
 
-	// Merge this slice's outcomes into the job's durable row set.
-	paused := 0
-	j.mu.Lock()
-	for k, r := range results {
-		i := idx[k]
-		if r.Paused {
-			paused++
-			if r.Snapshot != nil {
-				j.snapshots[i] = r.Snapshot
-			}
-			continue
-		}
-		j.finished[i] = r
-		j.havePoint[i] = true
-		j.snapshots[i] = nil
-	}
-	j.elapsed += wall
-	elapsed := j.elapsed
-	j.mu.Unlock()
-
-	if paused > 0 && !timedOut && j.ctx.Err() == nil {
-		// Slice expired mid-job: requeue behind waiting work and yield
-		// the runner. The job stays in-flight for dedup purposes.
-		j.mu.Lock()
-		j.state = StateQueued
-		j.resumes++
-		j.mu.Unlock()
-		j.feed.append(StreamEvent{Type: EventPreempted, ID: j.id, Total: len(j.points), Remaining: paused})
-		s.metrics.jobsPreempted.Add(1)
-		s.mu.Lock()
-		s.queued = append(s.queued, j)
-		s.cond.Signal()
-		s.mu.Unlock()
-		s.log("preempt %s after %v: %d points remaining", j.id, wall.Round(time.Millisecond), paused)
-		return
-	}
-
-	// Terminal: assemble the full row set in original point order. Points
-	// still paused (timeout/cancel hit before they finished) report
-	// canceled like never-started points do.
-	j.mu.Lock()
-	full := make([]sweep.Result, len(j.points))
-	for i := range j.points {
-		if j.havePoint[i] {
-			full[i] = j.finished[i]
-		} else {
-			full[i] = sweep.Result{Job: j.points[i], Err: context.Canceled.Error()}
-		}
-	}
-	j.mu.Unlock()
-
-	st := sweep.Summarize(full, elapsed)
 	state := StateDone
 	reason := ""
 	switch {
@@ -459,19 +344,8 @@ func (s *Server) execute(j *job) {
 		delete(s.inflight, j.specHash)
 	}
 	s.mu.Unlock()
-	s.finalize(j, full, st, state, reason)
+	s.finalize(j, results, st, state, reason)
 	s.log("finish %s: %s, %s", j.id, state, st)
-}
-
-// startSlice starts the clock of one execution slice. It returns the
-// engine's preemption poll and a func that stops the clock.
-func (s *Server) startSlice() (expired func() bool, stop func()) {
-	if s.cfg.slice != nil {
-		return s.cfg.slice(), func() {}
-	}
-	var over atomic.Bool
-	timer := time.AfterFunc(s.cfg.JobSlice, func() { over.Store(true) })
-	return over.Load, func() { timer.Stop() }
 }
 
 // finalize records the terminal state exactly once: results, metrics,
@@ -512,23 +386,6 @@ func (s *Server) finalize(j *job, results []sweep.Result, st sweep.Stats, state,
 		s.retained = s.retained[1:]
 	}
 	s.mu.Unlock()
-}
-
-// remapFan translates a slice-local engine event (indexed into the
-// pending sublist) back into the job's original point numbering before
-// fanning it out, so streamed rows carry stable indices across
-// preemption rounds.
-type remapFan struct {
-	fan   progressFan
-	idx   []int // engine index -> original point index
-	total int
-}
-
-// Event implements sweep.Progress.
-func (r remapFan) Event(ev sweep.Event) {
-	ev.Index = r.idx[ev.Index]
-	ev.Total = r.total
-	r.fan.Event(ev)
 }
 
 // progressFan adapts the engine's Progress callbacks onto the job's
@@ -587,8 +444,6 @@ func (s *Server) notePoint(ev sweep.Event) {
 		}
 	case sweep.CacheWriteError:
 		s.log("cache write failed for %s: %s", ev.Job.Desc(), ev.Err)
-	case sweep.JobPaused:
-		s.metrics.pointsSnapshotted.Add(1)
 	}
 }
 

@@ -14,22 +14,22 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Stream event types, in the order a stream emits them: one "accepted",
-// then one "point" line per point as workers progress — a point that
-// simulates is preceded by its "start" line, a cache hit is its "point"
-// line alone; lines of points on different workers interleave — possibly
-// punctuated by "preempted"/"resumed" pairs when the daemon time-slices
-// jobs, then a single terminal "summary". A cluster front door's feed
-// replaces "start" and "resumed" with a "claimed" line per lease epoch,
-// or "stolen" when the epoch was adopted from a different, lapsed
-// worker; a raced steal may repeat a point line with an identical row.
+// Stream event types, in the order a stream emits them. A single-node
+// daemon runs each job to completion: one "accepted", then one "point"
+// line per point as workers progress — a point that simulates is
+// preceded by its "start" line, a cache hit is its "point" line alone;
+// lines of points on different workers interleave — then a single
+// terminal "summary". A cluster front door's feed replaces "start" with
+// a "claimed" line per lease epoch, or "stolen" when the epoch was
+// adopted from a different, lapsed worker; a worker that preempts the
+// job at a slice boundary writes a "preempted" line before releasing its
+// lease; a raced steal may repeat a point line with an identical row.
 const (
 	EventAccepted  = "accepted"
 	EventStart     = "start"
 	EventPoint     = "point"
 	EventSummary   = "summary"
 	EventPreempted = "preempted"
-	EventResumed   = "resumed"
 	EventClaimed   = "claimed"
 	EventStolen    = "stolen"
 )
@@ -63,8 +63,9 @@ type StreamEvent struct {
 	State string       `json:"state,omitempty"`
 	Stats *sweep.Stats `json:"stats,omitempty"`
 
-	// Remaining is the number of unfinished points on preempted/resumed
-	// events (the rest are already durable in the job's result set).
+	// Remaining is the number of unfinished points on claimed, stolen
+	// and preempted events (the rest are already durable in the job's
+	// result set).
 	Remaining int `json:"remaining,omitempty"`
 
 	// Worker and Epoch name the cluster worker and lease epoch that
@@ -86,9 +87,6 @@ type JobStatus struct {
 	// Deduped marks a submission that attached to an already in-flight
 	// identical job instead of enqueueing a new one.
 	Deduped bool `json:"deduped,omitempty"`
-	// Resumes counts how many times the job was preempted at a slice
-	// boundary and requeued with checkpointed state.
-	Resumes int `json:"resumes,omitempty"`
 	// Tenant is the submitting tenant and DeadlineMS the absolute
 	// deadline (unix ms; 0 = none) of a cluster front-door job.
 	Tenant     string `json:"tenant,omitempty"`
