@@ -33,6 +33,10 @@ var ErrQuotaExceeded = errors.New("cluster: tenant quota exceeded")
 // ErrRateLimited reports a tenant submitting faster than its rate.
 var ErrRateLimited = errors.New("cluster: tenant rate limited")
 
+// maxTimeoutMS is the largest ?timeout_ms a submission may carry: the
+// longest time.Duration, in whole milliseconds (about 292 years).
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // FrontDoorConfig tunes admission control.
 type FrontDoorConfig struct {
 	// MaxActivePerTenant caps a tenant's unfinished (queued or running)
@@ -241,9 +245,13 @@ func (f *FrontDoor) admit(w http.ResponseWriter, r *http.Request) (rec JobRecord
 	// inherit it unchanged, so a job's wall budget never restarts.
 	timeout := f.cfg.JobTimeout
 	if q := r.URL.Query().Get("timeout_ms"); q != "" {
+		// Above maxTimeoutMS the product below overflows a Duration: it
+		// would wrap to a deadline in the past, or to a negative
+		// timeout that silently sets none.
 		ms, err := strconv.ParseInt(q, 10, 64)
-		if err != nil || ms < 0 {
-			service.WriteError(w, http.StatusBadRequest, "timeout_ms must be a non-negative integer")
+		if err != nil || ms < 0 || ms > maxTimeoutMS {
+			service.WriteError(w, http.StatusBadRequest,
+				fmt.Sprintf("timeout_ms must be an integer in [0, %d]", maxTimeoutMS))
 			return rec, false, false
 		}
 		timeout = time.Duration(ms) * time.Millisecond

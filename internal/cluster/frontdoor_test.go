@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -541,5 +542,44 @@ func TestFrontDoorTimeoutParam(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative timeout_ms = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFrontDoorTimeoutBounds: a timeout_ms whose Duration would
+// overflow answers 400 instead of wrapping. 18446744073710 wrapped to a
+// deadline under 1 ms out, and the int64 maximum to a negative timeout
+// that set none. The largest value that fits is admitted with a
+// deadline that far out.
+func TestFrontDoorTimeoutBounds(t *testing.T) {
+	store := openStore(t)
+	srv := newFrontDoor(t, store, FrontDoorConfig{})
+	largest := int64(math.MaxInt64 / int64(time.Millisecond))
+	for i, tc := range []struct {
+		ms   string
+		want int
+	}{
+		{"18446744073710", http.StatusBadRequest},
+		{"9223372036854775807", http.StatusBadRequest},
+		{strconv.FormatInt(largest+1, 10), http.StatusBadRequest},
+		{strconv.FormatInt(largest, 10), http.StatusAccepted},
+	} {
+		before := time.Now().UnixMilli()
+		resp := postSpec(t, srv.URL+"/v1/sweeps?timeout_ms="+tc.ms, testSpec(0.1+0.01*float64(i)), "")
+		if resp.StatusCode != tc.want {
+			_ = resp.Body.Close()
+			t.Fatalf("timeout_ms=%s: HTTP %d, want %d", tc.ms, resp.StatusCode, tc.want)
+		}
+		if tc.want != http.StatusAccepted {
+			_ = resp.Body.Close()
+			continue
+		}
+		st := decodeStatus(t, resp)
+		rec, err := store.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.DeadlineMS < before+largest {
+			t.Fatalf("timeout_ms=%s: deadline %d, want at least %d", tc.ms, rec.DeadlineMS, before+largest)
+		}
 	}
 }

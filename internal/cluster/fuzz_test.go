@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -133,11 +135,12 @@ func FuzzReadLease(f *testing.F) {
 // POST /v1/sweeps on a fresh store, with quota and rate high enough
 // that every parsable spec reaches the store. The handler must never
 // panic and must answer only 202, 400 or 429; on 202 the store must
-// read back a job record whose points hash to its SpecHash, and the
-// same request again must return the same ID marked deduped. Seeded
-// from a valid spec with and without a tenant and a timeout, invalid
-// and overflowing timeouts, a sparse spec that leans on defaults, a
-// truncated spec and JSON that is not a spec.
+// read back a job record whose points hash to its SpecHash, a positive
+// timeout_ms must put its deadline at least that far past the request,
+// and the same request again must return the same ID marked deduped.
+// Seeded from a valid spec with and without a tenant and a timeout,
+// invalid timeouts, timeouts that overflow a Duration, a sparse spec
+// that leans on defaults, a truncated spec and JSON that is not a spec.
 //
 //	go test -run '^$' -fuzz '^FuzzFrontDoorSubmit$' -fuzztime 30s ./internal/cluster/
 func FuzzFrontDoorSubmit(f *testing.F) {
@@ -155,6 +158,7 @@ func FuzzFrontDoorSubmit(f *testing.F) {
 	f.Add([]byte(`{"patterns":["uniform"],"rates":[],"mechanisms":["baseline"]}`), "", "acme")
 	f.Add(spec[:len(spec)/2], "", "acme")
 	f.Add([]byte(`[1,2]`), "", "")
+	f.Add(spec, "18446744073710", "acme")
 
 	cfg := FrontDoorConfig{MaxActivePerTenant: 1 << 30, RatePerMinute: 1 << 30, Burst: 1 << 30}
 	f.Fuzz(func(t *testing.T, body []byte, timeoutMS, tenant string) {
@@ -181,6 +185,7 @@ func FuzzFrontDoorSubmit(f *testing.F) {
 			return rec.Code, st
 		}
 
+		before := time.Now().UnixMilli()
 		code, st := submit()
 		switch code {
 		case http.StatusAccepted:
@@ -196,6 +201,11 @@ func FuzzFrontDoorSubmit(f *testing.F) {
 		if rec.ID != st.ID || sweep.PointsHash(rec.Points) != rec.SpecHash {
 			t.Fatalf("stored record %q (spec hash %s) does not match its points or the answered id %q",
 				rec.ID, rec.SpecHash, st.ID)
+		}
+		if ms, err := strconv.ParseInt(timeoutMS, 10, 64); err == nil && ms > 0 &&
+			(ms > math.MaxInt64-before || rec.DeadlineMS < before+ms) {
+			t.Fatalf("timeout_ms=%d admitted with deadline %d, want at least %d ms after %d",
+				ms, rec.DeadlineMS, ms, before)
 		}
 		again, st2 := submit()
 		if again != http.StatusAccepted || st2.ID != st.ID || !st2.Deduped {

@@ -70,12 +70,14 @@ var (
 )
 
 // job is one admitted sweep: the expanded point list, its live event
-// feed, and bookkeeping for dedup, cancellation and retention.
+// feed, and bookkeeping for dedup, cancellation and retention. A
+// finished job holds each row once, in results, which its feed's point
+// events point into; it drops points and hashes, which only the engine
+// run reads.
 type job struct {
 	id       string
 	specHash string
-	points   []sweep.Job
-	hashes   []string // each point's cache key, index-aligned with points
+	total    int // len(points) at admission; fixed for the job's life
 	feed     *feed
 
 	ctx    context.Context
@@ -86,6 +88,8 @@ type job struct {
 	deadline time.Time
 
 	mu        sync.Mutex
+	points    []sweep.Job // nil once finalized
+	hashes    []string    // each point's cache key, index-aligned with points; nil once finalized
 	state     string
 	owned     bool // a fire-and-forget submission pinned it: never auto-cancel
 	refs      int  // attached streaming submitters; 0 + !owned => abandon
@@ -107,7 +111,7 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		State:     j.state,
-		Points:    len(j.points),
+		Points:    j.total,
 		Done:      j.done,
 		CacheHits: j.cacheHits,
 		Errors:    j.errors,
@@ -217,6 +221,7 @@ func (s *Server) submit(points []sweep.Job, owned bool) (j *job, deduped bool, e
 	j = &job{
 		id:        fmt.Sprintf("%s-%d", h[:12], s.seq),
 		specHash:  h,
+		total:     len(points),
 		points:    points,
 		hashes:    hashes,
 		feed:      newFeed(),
@@ -309,8 +314,9 @@ func (s *Server) execute(j *job) {
 		return
 	}
 	j.state = StateRunning
+	points, hashes := j.points, j.hashes
 	j.mu.Unlock()
-	s.log("start %s (%d points)", j.id, len(j.points))
+	s.log("start %s (%d points)", j.id, len(points))
 
 	ctx := j.ctx
 	cancel := func() {}
@@ -322,10 +328,10 @@ func (s *Server) execute(j *job) {
 		Cache:    s.cfg.Cache,
 		Progress: progressFan{s: s, j: j},
 		RunJob:   s.cfg.runPoint,
-		Hashes:   j.hashes,
+		Hashes:   hashes,
 	}
 	start := time.Now()
-	results := engine.Run(ctx, j.points)
+	results := engine.Run(ctx, points)
 	st := sweep.Summarize(results, time.Since(start))
 	timedOut := ctx.Err() != nil && j.ctx.Err() == nil
 	cancel()
@@ -349,7 +355,8 @@ func (s *Server) execute(j *job) {
 }
 
 // finalize records the terminal state exactly once: results, metrics,
-// the summary event, retention.
+// the summary event, retention. It releases the job's point list and
+// hashes: the engine run that read them is over (or never started).
 func (s *Server) finalize(j *job, results []sweep.Result, st sweep.Stats, state, reason string) {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateCanceled {
@@ -358,6 +365,7 @@ func (s *Server) finalize(j *job, results []sweep.Result, st sweep.Stats, state,
 	}
 	j.state = state
 	j.results = results
+	j.points, j.hashes = nil, nil
 	j.stats = st
 	j.failure = reason
 	wallMS := time.Since(j.submitted).Milliseconds()

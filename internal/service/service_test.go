@@ -187,6 +187,58 @@ func TestEndToEndMatchesDirectEngine(t *testing.T) {
 	}
 }
 
+// TestFinishedJobHoldsEachRowOnce: once a job finishes, each point
+// event in its feed carries the row in the job's result slice rather
+// than a copy, the job has dropped its point list and hashes, and its
+// status still reports the point count.
+func TestFinishedJobHoldsEachRowOnce(t *testing.T) {
+	cache, err := sweep.NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Cache: cache, runPoint: func(j sweep.Job) sweep.Result {
+		if j.Rate == 0.03 {
+			return sweep.Result{Job: j, Err: "injected point error"}
+		}
+		return sweep.Result{Job: j}
+	}})
+	// Warm one point so the job below has a cache hit, a simulated
+	// point and an error point.
+	waitDone(t, ts.URL, decodeStatus(t, postSpec(t, ts.URL+"/v1/sweeps", testSpec(0.01))).ID)
+
+	st := decodeStatus(t, postSpec(t, ts.URL+"/v1/sweeps", testSpec(0.01, 0.02, 0.03)))
+	if final := waitDone(t, ts.URL, st.ID); final.State != StateDone || final.CacheHits != 1 || final.Errors != 1 {
+		t.Fatalf("final = %+v, want done with 1 cache hit and 1 error", final)
+	}
+	j := s.lookup(st.ID)
+	j.mu.Lock()
+	results, points, hashes := j.results, j.points, j.hashes
+	j.mu.Unlock()
+	if points != nil || hashes != nil {
+		t.Fatalf("finished job still holds %d points and %d hashes", len(points), len(hashes))
+	}
+	if len(results) != 3 {
+		t.Fatalf("job holds %d rows, want 3", len(results))
+	}
+	seen := 0
+	for i := 0; i < j.feed.len(); i++ {
+		e, _, _ := j.feed.next(context.Background(), i)
+		if e.Type != EventPoint {
+			continue
+		}
+		seen++
+		if e.Result != &results[e.Index] {
+			t.Errorf("point %d (%s): feed row is not the job's result row", e.Index, e.Status)
+		}
+	}
+	if seen != 3 {
+		t.Fatalf("feed has %d point events, want 3", seen)
+	}
+	if got := waitDone(t, ts.URL, st.ID); got.Points != 3 {
+		t.Fatalf("status points = %d after finish, want 3", got.Points)
+	}
+}
+
 // blockingRunner returns a runPoint hook whose points block until
 // released per-rate, plus the release function.
 func blockingRunner() (func(sweep.Job) sweep.Result, func(rate float64)) {

@@ -90,7 +90,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				results[i] = e.one(i, len(jobs), jobs[i])
+				e.one(i, len(jobs), jobs[i], &results[i])
 			}
 		}()
 	}
@@ -98,10 +98,13 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// one runs a single job: cache lookup, guarded execution, cache fill,
-// progress events. A cache hit emits only its JobCacheHit event; a
-// JobStart precedes only a job that is about to simulate.
-func (e *Engine) one(index, total int, j Job) Result {
+// one runs a single job into its slot of Run's result slice: cache
+// lookup, guarded execution, cache fill, progress events. A cache hit
+// emits only its JobCacheHit event; a JobStart precedes only a job that
+// is about to simulate. A row event's Result points at slot itself, so
+// every row exists once, and slot is never written after its event has
+// gone out (an observer may be reading it from another goroutine).
+func (e *Engine) one(index, total int, j Job, slot *Result) {
 	var snap []byte
 	if e.Snapshots != nil {
 		snap = e.Snapshots[index]
@@ -110,7 +113,8 @@ func (e *Engine) one(index, total int, j Job) Result {
 		// Preemption requested before this job simulated anything: yield
 		// it whole (nil snapshot means "start cold next time") without
 		// burning a quantum on it first.
-		return Result{Job: j, Paused: true}
+		*slot = Result{Job: j, Paused: true}
+		return
 	}
 
 	var hash string
@@ -121,36 +125,36 @@ func (e *Engine) one(index, total int, j Job) Result {
 			hash = j.Hash()
 		}
 		if r, ok := e.Cache.get(hash); ok {
-			r.CacheHit = true
+			*slot = r
+			slot.CacheHit = true
 			e.emit(Event{Type: JobCacheHit, Index: index, Total: total, Job: j,
-				Wall: r.Wall, SimCycles: r.SimCycles(), Result: &r})
-			return r
+				Wall: slot.Wall, SimCycles: slot.SimCycles(), Result: slot})
+			return
 		}
 	}
 
 	e.emit(Event{Type: JobStart, Index: index, Total: total, Job: j})
-	r := e.guardedRun(j, snap)
+	*slot = e.guardedRun(j, snap)
 
-	if r.Paused {
-		e.emit(Event{Type: JobPaused, Index: index, Total: total, Job: j, Wall: r.Wall})
-		return r
+	if slot.Paused {
+		e.emit(Event{Type: JobPaused, Index: index, Total: total, Job: j, Wall: slot.Wall})
+		return
 	}
 
-	if r.Err == "" && e.Cache != nil {
+	if slot.Err == "" && e.Cache != nil {
 		// Cache fills are best-effort: a full disk must not fail the sweep.
-		if err := e.Cache.put(hash, r); err != nil {
+		if err := e.Cache.put(hash, *slot); err != nil {
 			e.emit(Event{Type: CacheWriteError, Index: index, Total: total, Job: j, Err: err.Error()})
 		}
 	}
 
 	ev := Event{Type: JobDone, Index: index, Total: total, Job: j,
-		Wall: r.Wall, SimCycles: r.SimCycles(), Result: &r}
-	if r.Err != "" {
+		Wall: slot.Wall, SimCycles: slot.SimCycles(), Result: slot}
+	if slot.Err != "" {
 		ev.Type = JobError
-		ev.Err = r.Err
+		ev.Err = slot.Err
 	}
 	e.emit(ev)
-	return r
 }
 
 // guardedRun executes the job with panic isolation: a crashing point

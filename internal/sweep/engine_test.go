@@ -253,3 +253,47 @@ func TestEngineCacheHitEvents(t *testing.T) {
 	}
 	check("foreign keys", []EventType{JobStart, JobDone})
 }
+
+// TestEngineEventRowIsResultSlot: every row event's Result is the row's
+// own slot in the slice Run returns, not a copy, for a cache hit, a
+// simulated point and an error point alike. Observers that keep the
+// pointer (the serving layer's feed) then share the one row with the
+// caller's result slice.
+func TestEngineEventRowIsResultSlot(t *testing.T) {
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := testGrid()[:3]
+	runJob := func(j Job) Result {
+		if j.Hash() == jobs[2].Hash() {
+			return Result{Job: j, Err: "injected point error"}
+		}
+		return Result{Job: j}
+	}
+	// Warm the cache with point 0 only, so the real run sees one hit.
+	(&Engine{Workers: 1, Cache: c, RunJob: runJob}).Run(context.Background(), jobs[:1])
+
+	var mu sync.Mutex
+	rows := map[int]*Result{}
+	types := map[int]EventType{}
+	obs := progressFunc(func(e Event) {
+		if e.Type != JobDone && e.Type != JobCacheHit && e.Type != JobError {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		rows[e.Index], types[e.Index] = e.Result, e.Type
+	})
+	results := (&Engine{Workers: 2, Cache: c, Progress: obs, RunJob: runJob}).Run(context.Background(), jobs)
+
+	want := map[int]EventType{0: JobCacheHit, 1: JobDone, 2: JobError}
+	if !reflect.DeepEqual(types, want) {
+		t.Fatalf("row events %v, want %v", types, want)
+	}
+	for i, r := range rows {
+		if r != &results[i] {
+			t.Errorf("point %d: %v event's Result is not &results[%d]", i, types[i], i)
+		}
+	}
+}

@@ -65,8 +65,11 @@ type Event struct {
 	// Err carries the failure message for JobError/CacheWriteError.
 	Err string
 	// Result is the finished row for JobDone/JobCacheHit/JobError
-	// events (nil for JobStart/CacheWriteError). Observers that stream
-	// rows as they complete read it; the terminal Reporter ignores it.
+	// events (nil for JobStart/CacheWriteError/JobPaused). It points at
+	// the row's own slot in the slice Run returns, not at a copy, so
+	// observers must not modify it; they may keep the pointer, and the
+	// engine never writes the slot again. Observers that stream rows as
+	// they complete read it; the terminal Reporter ignores it.
 	Result *Result
 }
 
