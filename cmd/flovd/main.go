@@ -18,8 +18,7 @@
 // persistent job store on one directory.
 //
 //	flovd -frontend -store /srv/flov -addr :8080   # stateless front door
-//	flovd -worker   -store /srv/flov \
-//	      -cache-addr :8091 -peers http://node2:8091  # execution node
+//	flovd -worker   -store /srv/flov               # execution node
 //
 // Front doors serve the same /v1/sweeps API and wire types as a
 // single-node flovd, so the Go client and `flovsweep -server` work
@@ -28,9 +27,10 @@
 // store's one event log per job, resumable with ?from=N; front-door
 // jobs are durable, so a dropped /run stream never cancels one.
 // Workers lease jobs, execute them through the sweep engine, work-steal
-// expired leases by adopting checkpoints, and federate their result
-// caches over -cache-addr/-peers. The same spec produces byte-identical
-// rows on any topology.
+// expired leases by adopting checkpoints, and share one result cache in
+// the store (<store>/cache), so a row any worker simulated is a hit on
+// every other. The same spec produces byte-identical rows on any
+// topology.
 package main
 
 import (
@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +57,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 15*time.Minute, "per-job execution ceiling (0 = none)")
 	jobSlice := flag.Duration("job-slice", 0, "preemption time slice (worker mode): jobs running longer checkpoint to -store and release their lease (0 = run to completion)")
 	retain := flag.Int("retain", 64, "finished jobs kept queryable")
-	cacheDir := flag.String("cache-dir", "", "result cache directory (default $FLOV_SWEEP_CACHE or the user cache dir)")
+	cacheDir := flag.String("cache-dir", "", "result cache directory (default: <store>/cache with -worker, else $FLOV_SWEEP_CACHE or the user cache dir)")
 	noCache := flag.Bool("no-cache", false, "disable the shared result cache")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long SIGTERM waits for in-flight jobs before canceling them")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof/")
@@ -67,8 +66,6 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as a cluster worker pulling leased jobs from -store")
 	frontendMode := flag.Bool("frontend", false, "run as a stateless cluster front door over -store")
 	storeDir := flag.String("store", "", "cluster job store directory (required with -worker/-frontend)")
-	peers := flag.String("peers", "", "comma-separated peer cache base URLs for federation (worker mode)")
-	cacheAddr := flag.String("cache-addr", "", "serve this node's cache to peers on this address (worker mode)")
 	workerName := flag.String("worker-name", "", "worker identity in leases and events (default host-pid)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "job lease duration between renewals; a dead worker's job is stealable one TTL later")
 	poll := flag.Duration("poll", 250*time.Millisecond, "idle store scan interval (worker mode)")
@@ -86,18 +83,18 @@ func main() {
 		fatal(errors.New("-job-slice requires -worker: only cluster workers preempt jobs"))
 	}
 
-	cache, err := sweep.OpenCache(*cacheDir, *noCache)
-	if err != nil {
-		fatal(err)
-	}
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "flovd: result cache at %s\n", cache.Dir())
-	}
-
 	if *workerMode {
+		store, err := cluster.Open(*storeDir)
+		if err != nil {
+			fatal(err)
+		}
+		// Workers on one store share its cache unless told otherwise.
+		dir := *cacheDir
+		if dir == "" {
+			dir = store.CacheDir()
+		}
 		runWorker(workerConfig{
-			storeDir: *storeDir, cache: cache, peers: *peers,
-			cacheAddr: *cacheAddr, name: *workerName,
+			store: store, cache: openCache(dir, *noCache), name: *workerName,
 			leaseTTL: *leaseTTL, poll: *poll, slice: *jobSlice,
 			workers: *workers,
 		})
@@ -119,7 +116,7 @@ func main() {
 		Workers:     *workers,
 		JobTimeout:  *jobTimeout,
 		RetainJobs:  *retain,
-		Cache:       cache,
+		Cache:       openCache(*cacheDir, *noCache),
 		EnablePprof: *enablePprof,
 	})
 
@@ -173,16 +170,26 @@ func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "flovd: "+format+"\n", args...)
 }
 
+// openCache opens the result cache (nil when disabled) and announces it.
+func openCache(dir string, disabled bool) *sweep.Cache {
+	cache, err := sweep.OpenCache(dir, disabled)
+	if err != nil {
+		fatal(err)
+	}
+	if cache != nil {
+		logf("result cache at %s", cache.Dir())
+	}
+	return cache
+}
+
 type workerConfig struct {
-	storeDir  string
-	cache     *sweep.Cache
-	peers     string
-	cacheAddr string
-	name      string
-	leaseTTL  time.Duration
-	poll      time.Duration
-	slice     time.Duration
-	workers   int
+	store    *cluster.Store
+	cache    *sweep.Cache
+	name     string
+	leaseTTL time.Duration
+	poll     time.Duration
+	slice    time.Duration
+	workers  int
 }
 
 // runWorker executes leased jobs from the shared store until SIGTERM.
@@ -190,10 +197,6 @@ type workerConfig struct {
 // the store and the lease expires immediately, so surviving workers
 // continue from those checkpoints without waiting out the TTL.
 func runWorker(cfg workerConfig) {
-	store, err := cluster.Open(cfg.storeDir)
-	if err != nil {
-		fatal(err)
-	}
 	name := cfg.name
 	if name == "" {
 		host, herr := os.Hostname()
@@ -202,14 +205,9 @@ func runWorker(cfg workerConfig) {
 		}
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	var peerList []string
-	if cfg.peers != "" {
-		peerList = strings.Split(cfg.peers, ",")
-	}
 	w := &cluster.Worker{
-		Store:    store,
+		Store:    cfg.store,
 		Cache:    cfg.cache,
-		Peers:    cluster.NewPeers(peerList),
 		Name:     name,
 		LeaseTTL: cfg.leaseTTL,
 		Poll:     cfg.poll,
@@ -218,36 +216,18 @@ func runWorker(cfg workerConfig) {
 		Logf:     logf,
 	}
 
-	var cacheSrv *http.Server
-	if cfg.cacheAddr != "" && cfg.cache != nil {
-		cacheSrv = &http.Server{
-			Addr:              cfg.cacheAddr,
-			Handler:           cluster.CacheHandler(cfg.cache),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := cacheSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logf("cache server: %v", err)
-			}
-		}()
-		logf("worker %s: serving cache to peers on %s", name, cfg.cacheAddr)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	logf("worker %s: store %s, %d peer(s)", name, cfg.storeDir, w.Peers.Len())
+	logf("worker %s: store %s", name, cfg.store.Dir())
 	_ = w.Run(ctx) // returns only when ctx is canceled
 
-	if cacheSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := cacheSrv.Shutdown(shutCtx); err != nil {
-			_ = cacheSrv.Close()
-		}
-	}
 	claimed, stolen, finished, preempted := w.Counters()
-	logf("worker %s: bye (claimed %d, stolen %d, finished %d, preempted %d)",
-		name, claimed, stolen, finished, preempted)
+	var hits, misses, writes int64
+	if cfg.cache != nil {
+		hits, misses, writes = cfg.cache.Counters()
+	}
+	logf("worker %s: bye (claimed %d, stolen %d, finished %d, preempted %d; cache %d hits, %d misses, %d writes)",
+		name, claimed, stolen, finished, preempted, hits, misses, writes)
 }
 
 // runFrontend serves the stateless cluster API until SIGTERM. All job

@@ -3,9 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,6 +74,16 @@ func newCache(t *testing.T) *sweep.Cache {
 	return c
 }
 
+// sharedCache opens a new handle on the store's shared cache directory.
+func sharedCache(t *testing.T, s *Store) *sweep.Cache {
+	t.Helper()
+	c, err := sweep.NewCache(s.CacheDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // referenceRows runs the points through a cold single-node engine: the
 // ground truth every cluster topology must reproduce.
 func referenceRows(t *testing.T, points []sweep.Job) []sweep.Result {
@@ -131,19 +141,20 @@ func anySnapshot(s *Store, id string, points int) bool {
 
 // TestClusterByteIdentical is the acceptance gate of the cluster
 // subsystem: one sweep executed by two workers — with at least one
-// stolen preempted slice and at least one federated cache hit — must
-// produce results byte-identical to a single-node run of the same spec.
+// stolen preempted slice and at least one hit in the store's shared
+// cache — must produce results byte-identical to a single-node run of
+// the same spec.
 func TestClusterByteIdentical(t *testing.T) {
 	points := mustPoints(t, longSpec(0.05, 0.1, 0.15, 0.2))
 	ref := referenceBytes(t, points)
 
-	// "Node gamma" computed this grid at some earlier time: its cache
-	// holds the entries that must federate to node beta.
-	cacheGamma := newCache(t)
+	// "Node gamma" computed this grid at some earlier time: it filled
+	// the store's shared cache, which node beta reads below.
+	store := openStore(t)
+	cacheGamma := sharedCache(t, store)
 	warmEngine := &sweep.Engine{Workers: 2, Cache: cacheGamma}
 	warmEngine.Run(context.Background(), points)
 
-	store := openStore(t)
 	rec := submitJob(t, store, points)
 
 	// Worker alpha (cold local cache) runs short slices: it preempts,
@@ -191,11 +202,10 @@ func TestClusterByteIdentical(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	// Node beta: empty local cache, federated to gamma's.
-	peerSrv := httptest.NewServer(CacheHandler(cacheGamma))
-	defer peerSrv.Close()
-	peers := NewPeers([]string{peerSrv.URL})
-	beta := &Worker{Store: store, Cache: newCache(t), Peers: peers,
+	// Node beta: a fresh handle on the shared cache, so every hit is a
+	// read of a file gamma wrote, not of a handle's in-memory table.
+	cacheBeta := sharedCache(t, store)
+	beta := &Worker{Store: store, Cache: cacheBeta,
 		Name: "beta", LeaseTTL: time.Minute, Workers: 2}
 
 	done := driveToDone(t, beta, store, rec.ID)
@@ -205,8 +215,8 @@ func TestClusterByteIdentical(t *testing.T) {
 	if _, stolen, _, _ := beta.Counters(); stolen == 0 {
 		t.Fatal("beta never stole the expired lease")
 	}
-	if hits, _, _ := peers.Counters(); hits == 0 {
-		t.Fatal("no federated cache hit: pending entries should have come from gamma")
+	if hits, _, _ := cacheBeta.Counters(); hits == 0 {
+		t.Fatal("no shared cache hit: pending entries should have come from gamma")
 	}
 
 	got, ok := store.Results(rec.ID)
@@ -240,7 +250,7 @@ func TestClusterByteIdentical(t *testing.T) {
 }
 
 // TestClusterSingleWorkerMatchesReference pins the simplest topology:
-// one worker, no slicing, no federation.
+// one worker, no slicing, a private cache.
 func TestClusterSingleWorkerMatchesReference(t *testing.T) {
 	points := mustPoints(t, testSpec(0.1, 0.2))
 	ref := referenceBytes(t, points)
@@ -266,5 +276,55 @@ func TestClusterSingleWorkerMatchesReference(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(filepath.Join(store.Dir(), "leases")); err != nil || len(entries) != 0 {
 		t.Errorf("leases not removed after completion (%d left, err %v)", len(entries), err)
+	}
+}
+
+// TestSharedCacheConcurrentFill: two engines on two handles fill the
+// store's cache directory at once over overlapping grids. A third, fresh
+// handle then serves every point from disk, and each row equals a cold
+// uncached run.
+func TestSharedCacheConcurrentFill(t *testing.T) {
+	a := mustPoints(t, testSpec(0.05, 0.1, 0.15))
+	b := mustPoints(t, testSpec(0.1, 0.15, 0.2))
+	all := mustPoints(t, testSpec(0.05, 0.1, 0.15, 0.2))
+	ref := referenceBytes(t, all)
+
+	store := openStore(t)
+	var wg sync.WaitGroup
+	for _, points := range [][]sweep.Job{a, b} {
+		engine := &sweep.Engine{Workers: 2, Cache: sharedCache(t, store)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range engine.Run(context.Background(), points) {
+				if r.Err != "" {
+					t.Errorf("%s: %s", r.Job.Desc(), r.Err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	reader := sharedCache(t, store)
+	if n, err := reader.Len(); err != nil || n != len(all) {
+		t.Fatalf("shared cache holds %d entries (err %v), want %d", n, err, len(all))
+	}
+	got := make([]sweep.Result, len(all))
+	for i, p := range all {
+		r, ok := reader.Get(p)
+		if !ok {
+			t.Fatalf("%s: miss in the shared cache", p.Desc())
+		}
+		got[i] = r
+	}
+	data, err := MarshalResults(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, ref) {
+		t.Error("rows read from the shared cache differ from an uncached run")
+	}
+	if hits, misses, _ := reader.Counters(); hits != int64(len(all)) || misses != 0 {
+		t.Errorf("reader counters: %d hits, %d misses, want %d and 0", hits, misses, len(all))
 	}
 }

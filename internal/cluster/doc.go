@@ -27,6 +27,7 @@
 //	                      stream replay, and point events carry the rows
 //	results/<id>.json     canonical final row set, written once at completion
 //	snaps/<id>/<n>.snap   mid-run checkpoints of preempted points
+//	cache/                the workers' shared sweep.Cache (Store.CacheDir)
 //
 // Everything wall-clock (leases, deadlines, polling) lives here and in
 // cmd/flovd; simulation packages stay on cycle time — flovlint pins

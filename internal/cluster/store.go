@@ -82,6 +82,11 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
+// CacheDir returns the result cache directory the store's workers
+// share. sweep.Cache entries are content-addressed and written by
+// rename, so concurrent writers need no coordination.
+func (s *Store) CacheDir() string { return filepath.Join(s.dir, "cache") }
+
 // JobID derives the job id from a point list. Content-addressed: the
 // same spec is the same job cluster-wide, which makes submission
 // idempotent and dedups identical concurrent submissions for free.

@@ -21,10 +21,10 @@ import (
 // row set is byte-identical however execution was sliced or stolen.
 type Worker struct {
 	Store *Store
-	// Cache is the node-local content-addressed result cache; with
-	// Peers set it participates in cluster-wide cache federation.
+	// Cache is the content-addressed result cache that workers on this
+	// store share (flovd opens Store.CacheDir): a row one worker
+	// simulated is a hit on every other.
 	Cache *sweep.Cache
-	Peers *Peers
 	// Name identifies this worker in leases and events.
 	Name string
 	// LeaseTTL is how long a claim lasts between renewals; a worker that
@@ -286,12 +286,6 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		Cache:     w.Cache,
 		Progress:  obs,
 		Snapshots: snaps,
-	}
-
-	// Cache federation: pull rows computed elsewhere that the engine will
-	// look up into the local cache before simulating.
-	if n := w.Peers.Warm(w.Cache, pending); n > 0 {
-		w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
 	}
 
 	// The job's deadline is absolute (set once at submit), so requeues

@@ -170,8 +170,9 @@ func (r Result) clone() Result {
 // key (a parseable-but-mangled body misses instead of serving rows for
 // a different point). An error-carrying entry is equally unusable —
 // failures are never cached, so one can only be corruption or a foreign
-// writer — and fails too. Shared by Get and by the cluster's cache
-// federation, so remote entries get exactly the local hardening.
+// writer — and fails too. Every cache read goes through it, including
+// reads of entries another process (a cluster worker sharing the
+// directory, say) wrote.
 func DecodeEntry(hash string, data []byte) (Result, bool) {
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil ||
@@ -181,17 +182,6 @@ func DecodeEntry(hash string, data []byte) (Result, bool) {
 	r := e.Result
 	r.Wall = time.Duration(e.WallNS)
 	return r, true
-}
-
-// ReadEntry returns the raw stored bytes for a hash (the cluster's
-// federation endpoint serves these; the fetching side re-validates with
-// DecodeEntry, so a torn or mangled file transfers as a miss).
-func (c *Cache) ReadEntry(hash string) ([]byte, bool) {
-	data, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
 }
 
 // Put stores a finished result. Error-carrying results are the caller's

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 	"flov/internal/traffic"
 )
 
-// FuzzDecodeEntry hardens the cache entry decoder, which also validates
-// entries fetched from cluster peers. Seeded from a real Cache.Put entry
+// FuzzDecodeEntry hardens the cache entry decoder, which validates every
+// entry read from disk, whoever wrote it. Seeded from a real Cache.Put entry
 // and its truncations: DecodeEntry must never panic, and any entry it
 // accepts must go through Put and back through DecodeEntry to an equal
 // Result (same durable JSON row, same wall time).
@@ -33,9 +34,9 @@ func FuzzDecodeEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	hash := j.Hash()
-	seed, ok := c.ReadEntry(hash)
-	if !ok {
-		f.Fatal("seed entry not stored")
+	seed, err := os.ReadFile(c.path(hash))
+	if err != nil {
+		f.Fatalf("seed entry not stored: %v", err)
 	}
 	f.Add(seed)
 	for _, n := range []int{0, 1, len(seed) / 4, len(seed) / 2, len(seed) - 1} {
@@ -50,9 +51,9 @@ func FuzzDecodeEntry(f *testing.F) {
 		if err := c.Put(got); err != nil {
 			t.Fatalf("Put of an accepted entry: %v", err)
 		}
-		stored, ok := c.ReadEntry(hash)
-		if !ok {
-			t.Fatal("entry missing after Put")
+		stored, err := os.ReadFile(c.path(hash))
+		if err != nil {
+			t.Fatalf("entry missing after Put: %v", err)
 		}
 		again, ok := DecodeEntry(hash, stored)
 		if !ok {
